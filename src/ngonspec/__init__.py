@@ -18,7 +18,8 @@ from .invariants import (InvariantReport, degree_product,
                          kirchhoff_closed, kirchhoff_step,
                          spanning_trees_closed, spanning_trees_step)
 from .oracle import (ComparisonReport, DenseSymMatrix, compare_spectra,
-                     eig_sym, matrix_tree_count, normalized_laplacian)
+                     eig_sym, laplacian_matvec, matrix_tree_count,
+                     normalized_laplacian)
 from .roots import (FamilyKind, RootFamily, RootIsolationError, RootSet,
                     family_polynomial, lambda_polynomial, roots_of_family,
                     solve_lambda_equation, solve_lambda_many, vieta_sums)
@@ -37,10 +38,10 @@ __all__ = [
     "eval_a", "exact_invariants", "family_polynomial",
     "invariants_from_spectrum", "iterate_spectrum", "iterate_transform",
     "kemeny_closed", "kemeny_step", "kirchhoff_closed", "kirchhoff_step",
-    "lambda_polynomial", "lift_eigenvector", "linear_combination",
-    "make_graph", "matrix_tree_count", "normalized_laplacian",
-    "parse_edge_list", "polygon_transform", "predict_counts",
-    "roots_of_family", "solve_lambda_equation", "solve_lambda_many",
-    "spanning_trees_closed", "spanning_trees_step", "transform_spectrum",
-    "vieta_sums",
+    "lambda_polynomial", "laplacian_matvec", "lift_eigenvector",
+    "linear_combination", "make_graph", "matrix_tree_count",
+    "normalized_laplacian", "parse_edge_list", "polygon_transform",
+    "predict_counts", "roots_of_family", "solve_lambda_equation",
+    "solve_lambda_many", "spanning_trees_closed", "spanning_trees_step",
+    "transform_spectrum", "vieta_sums",
 ]

@@ -253,15 +253,14 @@ def _cmd_lift(cfg: RunConfig, graph: graphs.Graph) -> int:
     lam = float(pair["value"])
     vec = [float(x) for x in pair["vector"]]
     grown = graphs.iterate_transform(graph, cfg.n, 1, cfg.explicit_cap)
-    lap = oracle.normalized_laplacian(grown).entries
-    root_set = roots.solve_lambda_equation(cfg.n, lam)
     lifts = []
     worst = 0.0
-    for mu in root_set.roots:
+    for mu in roots.solve_lambda_many(cfg.n, [lam])[0].tolist():
         lifted = spectrum.lift_eigenvector(graph, cfg.n, lam, vec, mu,
                                            tol=cfg.tolerance)
-        residual = float(np.linalg.norm(lap @ lifted - mu * lifted)
-                         / np.linalg.norm(lifted))
+        residual = float(np.linalg.norm(
+            oracle.laplacian_matvec(grown, lifted) - mu * lifted)
+            / np.linalg.norm(lifted))
         worst = max(worst, residual)
         lifts.append({"mu": mu, "residual": residual,
                       "vector": [float(x) for x in lifted]})

@@ -45,6 +45,17 @@ def normalized_laplacian(graph: Graph) -> DenseSymMatrix:
     return DenseSymMatrix(count, mat)
 
 
+def laplacian_matvec(graph: Graph, vec) -> np.ndarray:
+    """normalized_laplacian(graph).entries @ vec from the edge list alone."""
+    vec = np.asarray(vec, dtype=float)
+    u, v = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    scale = 1.0 / np.sqrt(np.asarray(graph.degrees, dtype=float))
+    weight = scale[u] * scale[v]
+    count = graph.vertex_count
+    return (vec - np.bincount(u, weight * vec[v], count)
+            - np.bincount(v, weight * vec[u], count))
+
+
 def eig_sym(matrix: DenseSymMatrix) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending."""
     m = np.asarray(matrix.entries, dtype=float)

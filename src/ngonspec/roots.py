@@ -1,12 +1,17 @@
 """Real roots in (0, 2) of the fixed recurrence-family polynomials and of
-the per-eigenvalue transfer equation.
+the per-eigenvalue transfer equation, in the angle form x = 1 - cos(theta).
 
-Every polynomial handled here has only real, simple roots, all strictly
-inside (0, 2), so isolation is sign-change bracketing on a uniform grid
-followed by bisection and one guarded Newton step. A batched variant
-solves the transfer equation for many eigenvalues at once; its
-coefficients are affine in the eigenvalue, which makes the whole sweep a
-handful of vectorized polynomial evaluations.
+With a_k(x) = U_k(1 - x), the family roots are closed forms theta = (p*j -
+o) pi/q, and the transfer equation of eigenvalue lam becomes F(theta) =
+cos((n+1)theta/2) + (lam-1) cos((n-1)theta/2) = 0. As |lam - 1| < 1, F has
+sign (-1)^k at theta_k = 2k pi/(n+1), so [theta_{k-1}, min(theta_k, pi)]
+for k = 1..(n+1)//2 are guaranteed brackets, one root each, and one
+vectorized safeguarded Newton iteration solves them all. F is evaluated as
+lam cos((n-1)theta/2) - 2 sin(n theta/2) sin(theta/2), free of
+cancellation at small theta. Every root is mapped to x without
+cancellation and finished by one x-domain Newton step through the
+three-term recurrence, kept only inside its bracket. The exact
+polynomials serve the identity suites.
 """
 
 from __future__ import annotations
@@ -19,12 +24,12 @@ import numpy as np
 
 from . import aseries
 
-GRID_PER_ROOT = 8
-BISECT_STEPS = 48  # brackets start at width <= 1/4, so final width < 1e-15
+NEWTON_MAX_STEPS = 100  # safeguarded steps; about 5 suffice
+NEWTON_RTOL = 4 * np.finfo(float).eps
 
 
 class RootIsolationError(RuntimeError):
-    """Bracketing found fewer roots than the degree demands."""
+    """A computed root escaped the open interval (0, 2)."""
 
 
 class FamilyKind(enum.Enum):
@@ -65,6 +70,9 @@ class RootSet:
 
 def _checksummed(label: str, roots) -> RootSet:
     ordered = tuple(sorted(float(r) for r in roots))
+    outside = [r for r in ordered if not 0.0 < r < 2.0]
+    if outside:
+        raise RootIsolationError(f"roots of {label} escaped (0, 2): {outside}")
     reciprocal = sum(1.0 / r for r in ordered)
     product = 1.0
     for r in ordered:
@@ -91,75 +99,61 @@ def family_polynomial(family: RootFamily) -> list[Fraction]:
     return aseries.linear_combination(terms)
 
 
-def _poly_floats(coeffs) -> np.ndarray:
-    return np.asarray([float(c) for c in coeffs], dtype=float)
+def _x_of_theta(theta):
+    """1 - cos(theta) without cancellation near theta = 0."""
+    return np.where(theta < np.pi / 2, 2.0 * np.sin(0.5 * theta) ** 2,
+                    1.0 - np.cos(theta))
 
 
-def _eval_poly(coeffs: np.ndarray, x):
-    """Horner evaluation of ascending coefficients, vectorized over x."""
-    out = np.full_like(x, coeffs[-1], dtype=float)
-    for c in coeffs[-2::-1]:
-        out = out * x + c
-    return out
+def _recurrence(x, top: int, pair: bool = False):
+    """(a_k, d_k, a_k', d_k') at k = top, plus the same at top - 1 if pair.
 
-
-def _refine(coeffs: np.ndarray, lo, hi, flo):
-    """Bisect sign-change brackets, then apply one guarded Newton step."""
-    slo = np.sign(flo)
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        fmid = _eval_poly(coeffs, mid)
-        same = np.sign(fmid) == slo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    mid = 0.5 * (lo + hi)
-    deriv = coeffs[1:] * np.arange(1, coeffs.size)
-    if deriv.size == 0:
-        return mid
-    fmid = _eval_poly(coeffs, mid)
-    fderiv = _eval_poly(deriv, mid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = mid - fmid / fderiv
-    ok = np.isfinite(newton) & (newton >= lo) & (newton <= hi)
-    return np.where(ok, newton, mid)
-
-
-def isolate_roots(coeffs, expected: int, lo: float = 0.0,
-                  hi: float = 2.0) -> tuple[float, ...]:
-    """All `expected` real roots of the polynomial inside [lo, hi], sorted.
-
-    Samples 8 points per expected root, brackets sign changes, and retries
-    with a four times denser grid (up to three times) when clustered roots
-    hide a sign change.
+    Reinsch's difference form d_k = a_k - a_{k-1} = d_{k-1} - 2x a_{k-1}
+    keeps values near x = 0 accurate.
     """
-    if expected == 0:
-        return ()
-    cf = _poly_floats(coeffs)
-    found: list[float] = []
-    for attempt in range(4):
-        count = GRID_PER_ROOT * expected * 4 ** attempt + 1
-        xs = np.linspace(lo, hi, count)
-        vals = _eval_poly(cf, xs)
-        found = [float(x) for x in xs[vals == 0.0]]
-        sign = np.sign(vals)
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        if idx.size:
-            refined = _refine(cf, xs[idx], xs[idx + 1], vals[idx])
-            found.extend(float(r) for r in np.atleast_1d(refined))
-        if len(found) == expected:
-            return tuple(sorted(found))
-    raise RootIsolationError(
-        f"found {len(found)} of {expected} roots for {cf.tolist()}")
+    zero = np.zeros_like(x)
+    prev = cur = (zero, zero + 1.0, zero, zero)  # k = -1: a = 0, d = 1
+    for _ in range(top + 1):
+        a, d, da, dd = cur
+        d_next = d - 2.0 * x * a
+        dd_next = dd - 2.0 * a - 2.0 * x * da
+        prev, cur = cur, (a + d_next, d_next, da + dd_next, dd_next)
+    if pair:
+        return tuple(u + v for u, v in zip(prev, cur))
+    return cur
+
+
+def _polish(x, lo, hi, value):
+    """One x-domain Newton step, kept only where it stays inside [lo, hi]."""
+    f, df = value(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = x - f / df
+    ok = np.isfinite(newton) & (newton >= lo) & (newton <= hi)
+    return np.where(ok, newton, x)
+
+
+def _family_form(kind: FamilyKind, m: int):
+    """(p, o, q, top, pair, diff) of the family at m = n // 2: the roots
+    theta_j = (p*j - o) pi/q, j = 1..top, of a_top (+ a_{top-1} if pair),
+    or of d_top (+ d_{top-1}) if diff."""
+    return {
+        FamilyKind.ODD_ZERO: (1, 0, m + 1, m, False, False),
+        FamilyKind.ODD_PLUS: (2, 0, 2 * m + 1, m, True, False),
+        FamilyKind.ODD_MINUS: (2, 1, 2 * m + 1, m, False, True),
+        FamilyKind.EVEN_PLUS: (2, 0, 2 * m + 1, m, True, False),
+        FamilyKind.EVEN_ZERO: (1, 0, m, m - 1, False, False),
+        FamilyKind.EVEN_MINUS: (2, 1, 2 * m, m, True, True),
+    }[kind]
 
 
 def roots_of_family(family: RootFamily) -> RootSet:
-    """All real roots of the family polynomial; count equals its degree."""
-    poly = family_polynomial(family)
-    degree = max(len(poly) - 1, 0)
-    roots = isolate_roots(poly, degree)
-    outside = [r for r in roots if not 0.0 < r < 2.0]
-    if outside:
-        raise RootIsolationError(f"roots escaped (0, 2): {outside}")
+    """All real roots of the family polynomial, from their closed forms."""
+    p, o, q, top, pair, diff = _family_form(family.kind, family.n // 2)
+    theta = (p * np.arange(1, top + 1) - o) * np.pi / q
+    half_gap = 0.5 * p * np.pi / q
+    roots = _polish(_x_of_theta(theta), _x_of_theta(theta - half_gap),
+                    _x_of_theta(theta + half_gap),  # (a, a') or (d, d'):
+                    lambda x: _recurrence(x, top, pair)[diff::2])
     return _checksummed(f"{family.kind.value} n={family.n}", roots)
 
 
@@ -184,85 +178,78 @@ def lambda_polynomial(n: int, lam) -> list[Fraction]:
     return aseries.linear_combination(terms)
 
 
-def lambda_pq(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Float coefficient pair (P, Q): the transfer polynomial is P + lam*Q."""
-    if n < 2:
-        raise ValueError(f"polygon parameter must be at least 2, got {n}")
-    if n % 2:
-        m = (n - 1) // 2
-        p = aseries.linear_combination([(1, m + 1), (-1, m - 1), (-1, m),
-                                        (1, m - 2)])
-        q = aseries.linear_combination([(1, m), (-1, m - 2)])
-    else:
-        m = n // 2
-        p = aseries.linear_combination([(1, m), (-2, m - 1), (1, m - 2)])
-        q = aseries.linear_combination([(1, m - 1), (-1, m - 2)])
-    degree = (n + 1) // 2
-    pf = np.zeros(degree + 1)
-    qf = np.zeros(degree + 1)
-    pf[:len(p)] = [float(c) for c in p]
-    qf[:len(q)] = [float(c) for c in q]
-    return pf, qf
-
-
-def solve_lambda_equation(n: int, lam) -> RootSet:
-    """All transfer-equation roots for one eigenvalue, sorted, inside (0, 2)."""
-    poly = lambda_polynomial(n, lam)
-    expected = (n + 1) // 2
-    if len(poly) - 1 != expected:
-        raise RootIsolationError(
-            f"transfer polynomial degree {len(poly) - 1}, expected {expected}")
-    roots = isolate_roots(poly, expected)
-    outside = [r for r in roots if not 0.0 < r < 2.0]
-    if outside:
-        raise RootIsolationError(f"roots escaped (0, 2): {outside}")
-    return _checksummed(f"lambda={float(lam):.17g} n={n}", roots)
+def _edge_angle(n: int, c):
+    """phi = 2u/n for u tan u = c: u ~ sqrt(c) for small c, pi/2 for large."""
+    return 2.0 / n * np.sqrt(c / (1.0 + 4.0 * c / np.pi ** 2))
 
 
 def solve_lambda_many(n: int, lams) -> np.ndarray:
     """Transfer-equation roots for every lam at once; shape (len(lams), deg).
 
-    Rows keep the order of lams; roots within a row are ascending. Rows
-    whose grid sweep is ambiguous (a sample hits a root exactly, or a sign
-    change is missing) fall back to the scalar solver.
+    Rows keep the order of lams; roots within a row are ascending. Each
+    element stops on its own, so a row does not depend on the batch.
     """
+    if n < 2:
+        raise ValueError(f"polygon parameter must be at least 2, got {n}")
     lams = np.asarray(lams, dtype=float)
+    if not np.all((lams > 0.0) & (lams < 2.0)):
+        raise ValueError("eigenvalues must lie strictly inside (0, 2)")
     degree = (n + 1) // 2
-    out = np.empty((lams.size, degree))
     if lams.size == 0:
-        return out
-    pf, qf = lambda_pq(n)
-    xs = np.linspace(0.0, 2.0, GRID_PER_ROOT * degree + 1)
-    pv = _eval_poly(pf, xs)
-    qv = _eval_poly(qf, xs)
-    vals = pv[None, :] + lams[:, None] * qv[None, :]
-    sign = np.sign(vals)
-    change = sign[:, :-1] * sign[:, 1:] < 0
-    easy = (change.sum(axis=1) == degree) & ~(sign == 0).any(axis=1)
-    if easy.any():
-        rows, cols = np.nonzero(change[easy])
-        lo = xs[cols]
-        hi = xs[cols + 1]
-        lam_flat = lams[easy][rows]
-        slo = np.sign(vals[easy][rows, cols])
-        for _ in range(BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            fmid = _eval_poly(pf, mid) + lam_flat * _eval_poly(qf, mid)
-            same = np.sign(fmid) == slo
-            lo = np.where(same, mid, lo)
-            hi = np.where(same, hi, mid)
-        mid = 0.5 * (lo + hi)
-        dp = pf[1:] * np.arange(1, pf.size)
-        dq = qf[1:] * np.arange(1, qf.size)
-        fmid = _eval_poly(pf, mid) + lam_flat * _eval_poly(qf, mid)
-        fderiv = _eval_poly(dp, mid) + lam_flat * _eval_poly(dq, mid)
+        return np.empty((0, degree))
+    k = np.arange(1, degree + 1)
+    edges = np.minimum(2.0 * np.arange(degree + 1) * np.pi / (n + 1), np.pi)
+    lo = np.tile(edges[:-1], (lams.size, 1))
+    hi = np.tile(edges[1:], (lams.size, 1))
+    lo_sign = np.where(k % 2, 1.0, -1.0)  # sign of F at theta_{k-1}
+    lam = lams[:, None]
+    # Start from tan(n theta/2) tan(theta/2) = r, an equivalent form of F = 0,
+    # with tan(theta/2) frozen at the bracket midpoint. Near theta = 0, and
+    # near pi for odd n, F is flat and Newton would crawl, so there the guess
+    # takes tan(phi/2) ~ phi/2 for phi = theta (or pi - theta, with 1/r).
+    r = lams / (2.0 - lams)
+    theta = 2.0 / n * ((k - 1) * np.pi + np.arctan(
+        r[:, None] / np.tan((k - 0.5) * np.pi / (n + 1))))
+    theta[:, 0] = _edge_angle(n, n * r)
+    if n % 2:
+        theta[:, -1] = np.pi - _edge_angle(n, n / r)
+    active = np.ones(theta.shape, dtype=bool)
+    for _ in range(NEWTON_MAX_STEPS):
+        su, cu = np.sin(0.5 * n * theta), np.cos(0.5 * n * theta)
+        sv, cv = np.sin(0.5 * theta), np.cos(0.5 * theta)
+        near, far = lam * (cu * cv + su * sv), 2.0 * su * sv
+        f = near - far
+        # at rounding level F gives no further information
+        settled = np.abs(f) <= NEWTON_RTOL * (np.abs(near) + np.abs(far))
+        df = (-0.5 * (n - 1) * lam * (su * cv - cu * sv)
+              - n * cu * sv - su * cv)
+        below = f * lo_sign > 0.0
+        lo = np.where(below, theta, lo)
+        hi = np.where(below, hi, theta)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = mid - fmid / fderiv
-        ok = np.isfinite(newton) & (newton >= lo) & (newton <= hi)
-        out[easy] = np.where(ok, newton, mid).reshape(-1, degree)
-    for i in np.nonzero(~easy)[0]:
-        out[i] = solve_lambda_equation(n, float(lams[i])).roots
-    return out
+            step = theta - f / df
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        moved = np.abs(step - theta) > NEWTON_RTOL * step
+        theta = np.where(active & ~settled, step, theta)
+        active &= moved & ~settled
+        if not active.any():
+            break
+
+    def value(x):
+        # lambda_polynomial in difference form, lam (d_m + d_{m-1}) - 2x (a_m
+        # + a_{m-1}) for n = 2m + 1 and lam d_{m-1} - 2x a_{m-1} for n = 2m:
+        # about lam near x = 0, with no cancellation
+        a, d, da, dd = _recurrence(x, (n - 1) // 2, pair=bool(n % 2))
+        return lam * d - 2.0 * x * a, lam * dd - 2.0 * a - 2.0 * x * da
+
+    return _polish(_x_of_theta(theta), _x_of_theta(edges[:-1]),
+                   _x_of_theta(edges[1:]), value)
+
+
+def solve_lambda_equation(n: int, lam) -> RootSet:
+    """All transfer-equation roots for one eigenvalue, sorted, inside (0, 2)."""
+    row = solve_lambda_many(n, [float(lam)])[0]
+    return _checksummed(f"lambda={float(lam):.17g} n={n}", row)
 
 
 def vieta_sums(poly) -> tuple[Fraction, Fraction]:

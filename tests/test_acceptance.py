@@ -7,6 +7,7 @@ growth step always and a second step whenever the result stays within
 500 vertices.
 """
 
+import json
 import math
 import random
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ngonspec import aseries, graphs, invariants, oracle, roots, spectrum
+from ngonspec import aseries, cli, graphs, invariants, oracle, roots, spectrum
 
 from conftest import random_connected_graph
 
@@ -26,6 +27,7 @@ INVARIANT_REL_TOL = 1e-9
 IDENTITY_TOL = 1e-10
 LIFT_TOL = 1e-8
 PERF_BUDGET_SECONDS = 1.0
+HIGH_N = (28, 40, 64, 128, 301)
 
 
 def report(criterion, ok, detail):
@@ -299,3 +301,22 @@ def test_criterion_9_scale_and_performance():
     report(9, ok, f"transfer {transfer_seconds * 1000:.0f} ms, "
                   f"closed forms {closed_seconds * 1000:.1f} ms, "
                   f"{digits}-digit integers")
+
+
+def test_criterion_10_high_n_verify(corpus, tmp_path, capsys):
+    worst = 0.0
+    bad = []
+    for name in ("K3", "C5"):  # the triangle and a non-bipartite cycle
+        path = tmp_path / f"{name}.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in corpus[name].edges))
+        for n in HIGH_N:
+            code = cli.main(["verify", str(path), "--n", str(n), "--g", "1",
+                             "--tolerance", str(SPECTRUM_TOL)])
+            deviation = json.loads(capsys.readouterr().out)[
+                "spectrum"]["max_abs_deviation"]
+            worst = max(worst, deviation)
+            if code != 0:
+                bad.append((name, n))
+    report(10, not bad,
+           f"verify --g 1 at n in {HIGH_N}, worst |dλ| = {worst:.3e}"
+           + (f", failing: {bad}" if bad else ""))

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import random
 
 import numpy as np
 import pytest
 
-from ngonspec import cli
+from ngonspec import cli, oracle
+
+from conftest import random_connected_graph
 
 TRIANGLE = "0 1\n0 2\n1 2\n"
 SQUARE = "0 1\n1 2\n2 3\n0 3\n"
@@ -131,6 +134,31 @@ def test_lift_command(tmp_path, capsys):
         assert item["residual"] <= 1e-8
         assert len(item["vector"]) == 9
         assert np.allclose(item["vector"][:3], [2, -1, -1])
+
+
+def test_lift_at_high_n_meets_tolerance(tmp_path, capsys):
+    base = random_connected_graph(random.Random(0), 40, 20)
+    path = write(tmp_path, "base.txt",
+                 "".join(f"{u} {v}\n" for u, v in base.edges))
+    values, vectors = np.linalg.eigh(oracle.normalized_laplacian(base).entries)
+    pair = write(tmp_path, "pair.json",
+                 json.dumps({"value": float(values[20]),
+                             "vector": vectors[:, 20].tolist()}))
+    code, out = run_cli(capsys, ["lift", path, "--n", "32",
+                                 "--eigenpair", pair])
+    assert code == 0
+    lifts = json.loads(out)["lifts"]
+    assert len(lifts) == 16
+    assert max(item["residual"] for item in lifts) <= 1e-8
+
+
+def test_spectrum_at_high_n(tmp_path, capsys):
+    path = write(tmp_path, "k3.txt", TRIANGLE)
+    code, out = run_cli(capsys, ["spectrum", path, "--n", "64", "--g", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["N"] == "192"
+    assert sum(int(e["multiplicity"]) for e in doc["spectrum"]) == 192
 
 
 def test_lift_rejects_non_eigenpair(tmp_path, capsys):

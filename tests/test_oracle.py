@@ -19,6 +19,16 @@ def test_laplacian_entries():
     assert lap[0, 2] == 0.0
 
 
+def test_laplacian_matvec_matches_dense(corpus):
+    rng = np.random.default_rng(3)
+    for graph in corpus.values():
+        dense = oracle.normalized_laplacian(graph).entries
+        for _ in range(3):
+            vec = rng.standard_normal(graph.vertex_count)
+            got = oracle.laplacian_matvec(graph, vec)
+            assert np.max(np.abs(got - dense @ vec)) <= 1e-14
+
+
 def test_eig_known_spectra():
     assert np.allclose(
         oracle.eig_sym(oracle.normalized_laplacian(complete_graph(2))),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ngonspec import aseries, roots
 from ngonspec.roots import FamilyKind, RootFamily
@@ -137,19 +138,6 @@ def test_transfer_polynomial_rejects_boundary_eigenvalues():
         roots.lambda_polynomial(1, 1.0)
 
 
-def test_transfer_pq_split_agrees_with_exact_polynomial():
-    rng = random.Random(17)
-    for n in range(2, 11):
-        pf, qf = roots.lambda_pq(n)
-        for _ in range(5):
-            lam = rng.uniform(0.05, 1.95)
-            exact = roots.lambda_polynomial(n, Fraction(lam))
-            combined = pf + lam * qf
-            padded = np.zeros_like(combined)
-            padded[:len(exact)] = [float(c) for c in exact]
-            assert np.allclose(combined, padded, atol=1e-12)
-
-
 def test_solve_halves_the_eigenvalue_for_triangle_growth():
     # n=2: the transfer polynomial is lam - 2*mu
     rng = random.Random(23)
@@ -197,8 +185,31 @@ def test_batched_solver_matches_scalar():
                                atol=1e-12)
 
 
-def test_isolate_roots_directly():
-    assert roots.isolate_roots([0.625, -1.75, 1.0], 2) == (0.5, 1.25)
-    assert roots.isolate_roots([1.0, -2.0], 0) == ()
-    with pytest.raises(roots.RootIsolationError):
-        roots.isolate_roots([1.0], 1)
+
+# For odd n the top root is about 2 - (2 - lam)/n, which rounds to 2.0 once
+# lam is within a few n ulps of 2; the spectrum pipeline treats eigenvalues
+# within 1e-12 of 2 as 2, so the domain stops there. From 1e-300 up, the
+# smallest root, about lam/n, stays a normal float.
+LAMBDAS = st.floats(min_value=1e-300, max_value=2 - 1e-12)
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+
+@PROPERTY
+@given(n=st.integers(2, 500), lams=st.lists(LAMBDAS, min_size=1, max_size=4))
+def test_transfer_roots_properties(n, lams):
+    batch = roots.solve_lambda_many(n, lams)
+    assert batch.shape == (len(lams), (n + 1) // 2)
+    for row, lam in zip(batch, lams):
+        assert np.all(np.diff(row) > 0)
+        assert np.all((row > 0) & (row < 2))
+        assert tuple(row.tolist()) == roots.solve_lambda_equation(n, lam).roots
+
+
+@PROPERTY
+@given(n=st.integers(2, 12), lam=LAMBDAS)
+def test_transfer_roots_match_exact_vieta_sums(n, lam):
+    got = roots.solve_lambda_equation(n, lam)
+    recip, prod = roots.vieta_sums(roots.lambda_polynomial(n, lam))
+    assert abs(got.reciprocal_sum - recip) <= 1e-10 * recip
+    assert abs(got.product - prod) <= 1e-10 * prod
