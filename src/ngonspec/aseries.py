@@ -79,13 +79,3 @@ def linear_combination(terms) -> list[Fraction]:
         out.pop()
     return out
 
-
-def poly_mul(p, q) -> list:
-    """Exact product of two ascending coefficient vectors."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out

@@ -80,10 +80,6 @@ def _json_text(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _print_json(doc) -> None:
-    print(_json_text(doc))
-
-
 def _print_csv(header, rows) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
@@ -112,17 +108,19 @@ def _cmd_transform(cfg: RunConfig, graph: graphs.Graph) -> int:
 def _cmd_spectrum(cfg: RunConfig, graph: graphs.Graph) -> int:
     spec, ctx = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
                                           cfg.n, cfg.g)
+    values = spec.values.tolist()
+    mults = map(str, spec.multiplicities.tolist())
+    labels = spec.source_labels()
     if cfg.output_format == "csv":
-        rows = [(_fmt_float(e.value), str(e.multiplicity), e.source_label())
-                for e in spec.entries]
-        _print_csv(("value", "multiplicity", "source"), rows)
+        _print_csv(("value", "multiplicity", "source"),
+                   zip([format(v, ".17g") for v in values], mults, labels))
         return 0
-    doc = {
-        "meta": _meta(cfg.n, cfg.g, ctx),
-        "spectrum": [{"value": e.value, "multiplicity": str(e.multiplicity),
-                      "source": e.source_label()} for e in spec.entries],
-    }
-    _print_json(doc)
+    values = [format(v, ".17g") if math.isfinite(v) else "null"
+              for v in values]
+    row = '    {{"value": {}, "multiplicity": "{}", "source": "{}"}}'.format
+    rows = ",\n".join(map(row, values, mults, labels))
+    print('{\n  "meta": ' + _json_text(_meta(cfg.n, cfg.g, ctx))
+          + ',\n  "spectrum": [\n' + rows + "\n  ]\n}")
     return 0
 
 
@@ -200,7 +198,7 @@ def _cmd_invariants(cfg: RunConfig, graph: graphs.Graph) -> int:
             "generations": rows,
         },
     }
-    _print_json(doc)
+    print(_json_text(doc))
     return 0
 
 
@@ -243,7 +241,7 @@ def _cmd_verify(cfg: RunConfig, graph: graphs.Graph) -> int:
             },
             "spanning_trees": trees,
         }
-        _print_json(doc)
+        print(_json_text(doc))
     return 0 if ok else 3
 
 
@@ -277,7 +275,7 @@ def _cmd_lift(cfg: RunConfig, graph: graphs.Graph) -> int:
                                        grown.bipartite)
         doc = {"meta": _meta(cfg.n, 1, ctx), "eigenvalue": lam,
                "lifts": lifts}
-        _print_json(doc)
+        print(_json_text(doc))
     return 0 if worst <= cfg.tolerance else 3
 
 

@@ -37,7 +37,11 @@ class Graph:
     edges: tuple[tuple[int, int], ...]  # lexicographically sorted, u < v
     degrees: tuple[int, ...]
     bipartite: bool
-    connected: bool
+    components: int
+
+    @property
+    def connected(self) -> bool:
+        return self.components == 1
 
     @property
     def edge_count(self) -> int:
@@ -100,29 +104,7 @@ def make_graph(vertex_count: int, edges) -> Graph:
                 elif color[v] == color[u]:
                     bipartite = False
     return Graph(vertex_count, edge_list, tuple(degrees), bipartite,
-                 components == 1)
-
-
-def _component_count(graph: Graph) -> int:
-    adj: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * graph.vertex_count
-    components = 0
-    for start in range(graph.vertex_count):
-        if seen[start]:
-            continue
-        components += 1
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    return components
+                 components)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -155,7 +137,7 @@ def parse_edge_list(text: str) -> Graph:
     graph = make_graph(count, pairs)
     if not graph.connected:
         raise GraphError(
-            f"graph is disconnected ({_component_count(graph)} components)")
+            f"graph is disconnected ({graph.components} components)")
     return graph
 
 

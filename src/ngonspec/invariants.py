@@ -49,17 +49,17 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
     fragile for large graphs.
     """
     product = degrees if isinstance(degrees, int) else math.prod(degrees)
-    zero_mult = sum(e.multiplicity for e in spec.entries
-                    if abs(e.value) < 1e-12)
+    rows = list(zip(spec.values.tolist(), spec.multiplicities.tolist()))
+    zero_mult = sum(mult for value, mult in rows if abs(value) < 1e-12)
     if zero_mult != 1:
         raise ValueError(f"0 must have multiplicity 1, found {zero_mult}")
     reciprocal = 0.0
     log_product = 0.0
-    for e in spec.entries:
-        if abs(e.value) < 1e-12:
+    for value, mult in rows:
+        if abs(value) < 1e-12:
             continue
-        reciprocal += e.multiplicity / e.value
-        log_product += e.multiplicity * math.log(e.value)
+        reciprocal += mult / value
+        log_product += mult * math.log(value)
     kirchhoff = 2 * ctx.edges * reciprocal
     log_trees = math.log(product) + log_product - math.log(2 * ctx.edges)
     try:

@@ -11,6 +11,7 @@ Eigenvectors can be lifted one transform step along the same bookkeeping.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,14 @@ def _is_two(value: float) -> bool:
     return abs(value - 2.0) < EDGE_TOL
 
 
+# Source tags in alphabetical order: sorting by code sorts by tag.
+SOURCES = tuple(sorted((SOURCE_ZERO, SOURCE_TWO, SOURCE_FAMILY_ZERO,
+                        SOURCE_FAMILY_PLUS, SOURCE_FAMILY_MINUS,
+                        SOURCE_LIFTED, SOURCE_BASE)))
+_CODE = {tag: code for code, tag in enumerate(SOURCES)}
+_LIFTED = _CODE[SOURCE_LIFTED]
+
+
 @dataclass(frozen=True)
 class SpectrumEntry:
     value: float
@@ -53,34 +62,78 @@ class SpectrumEntry:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalue multiset as (value, multiplicity, source) entries.
+class _EntryView(Sequence):
+    """Read-only SpectrumEntry rows over a Spectrum's columns."""
 
-    Entries are sorted by value. Entries whose values coincide are kept
-    separate while their sources differ; merged() gives the export view.
+    spec: Spectrum
+
+    def __len__(self) -> int:
+        return len(self.spec.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        s = self.spec
+        origin = float(s.origins[index])
+        return SpectrumEntry(float(s.values[index]), s.multiplicities[index],
+                             SOURCES[s.sources[index]],
+                             None if origin == -1.0 else origin)
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigenvalue multiset as parallel columns, one row per entry.
+
+    values are float64, multiplicities Python ints in an object array (they
+    outgrow 64 bits), sources codes into SOURCES, origins the base value
+    behind a lifted row or -1.0. Rows sort by (value, source, origin) and
+    stay apart while their sources differ; merged() is the export view.
     """
 
-    entries: tuple[SpectrumEntry, ...]
+    values: np.ndarray
+    multiplicities: np.ndarray
+    sources: np.ndarray
+    origins: np.ndarray
+
+    @classmethod
+    def from_entries(cls, entries) -> Spectrum:
+        """Columns from SpectrumEntry rows, kept in the order given."""
+        entries = list(entries)
+        return cls(np.array([e.value for e in entries], dtype=float),
+                   np.array([e.multiplicity for e in entries], dtype=object),
+                   np.array([_CODE[e.source] for e in entries], dtype=np.int8),
+                   np.array([-1.0 if e.origin is None else e.origin
+                             for e in entries], dtype=float))
+
+    @property
+    def entries(self) -> Sequence[SpectrumEntry]:
+        return _EntryView(self)
 
     @property
     def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
+        return sum(self.multiplicities.tolist())
+
+    def source_labels(self) -> list[str]:
+        """Export tag per row; each distinct lifted origin formatted once."""
+        lifted = {o: f"lifted({o:.17g})" for o in set(
+            self.origins[self.sources == _LIFTED].tolist())}
+        return [lifted[o] if c == _LIFTED else SOURCES[c]
+                for c, o in zip(self.sources.tolist(), self.origins.tolist())]
 
     def merged(self, tol: float = SNAP_TOL) -> list[tuple[float, int]]:
         """(value, multiplicity) pairs with near-equal values collapsed."""
         out: list[tuple[float, int]] = []
-        for e in self.entries:
-            if out and e.value - out[-1][0] <= tol:
-                out[-1] = (out[-1][0], out[-1][1] + e.multiplicity)
+        for value, mult in zip(self.values.tolist(),
+                               self.multiplicities.tolist()):
+            if out and value - out[-1][0] <= tol:
+                out[-1] = (out[-1][0], out[-1][1] + mult)
             else:
-                out.append((e.value, e.multiplicity))
+                out.append((value, mult))
         return out
 
     def expanded(self) -> np.ndarray:
         """Every eigenvalue repeated by multiplicity (explicit sizes only)."""
-        values = [e.value for e in self.entries]
-        counts = [e.multiplicity for e in self.entries]
-        return np.repeat(np.asarray(values), counts)
+        return np.repeat(self.values, self.multiplicities.astype(np.intp))
 
 
 @dataclass(frozen=True)
@@ -90,24 +143,18 @@ class SpectrumContext:
     bipartite: bool
 
 
-def _entry_order(entry: SpectrumEntry):
-    origin = -1.0 if entry.origin is None else entry.origin
-    return (entry.value, entry.source, origin)
-
-
 def _check_input(spec: Spectrum, ctx: SpectrumContext) -> None:
     if ctx.vertices < 2 or ctx.edges < 1:
         raise ValueError(f"invalid context N={ctx.vertices}, E={ctx.edges}")
     if not ctx.bipartite and ctx.edges < ctx.vertices:
         raise ValueError("non-bipartite context requires at least N edges")
-    zero_mult = 0
-    for e in spec.entries:
-        if e.multiplicity < 1:
-            raise ValueError(f"nonpositive multiplicity at value {e.value}")
-        if not -EDGE_TOL < e.value < 2.0 + EDGE_TOL:
-            raise ValueError(f"eigenvalue {e.value} outside [0, 2]")
-        if _is_zero(e.value):
-            zero_mult += e.multiplicity
+    values, mults = spec.values, spec.multiplicities
+    bad = (mults < 1) | ~((values > -EDGE_TOL) & (values < 2.0 + EDGE_TOL))
+    for value, mult in zip(values[bad].tolist(), mults[bad].tolist()):
+        if mult < 1:
+            raise ValueError(f"nonpositive multiplicity at value {value}")
+        raise ValueError(f"eigenvalue {value} outside [0, 2]")
+    zero_mult = sum(mults[_is_zero(values)].tolist())
     if zero_mult != 1:
         raise ValueError(f"0 must have multiplicity 1, found {zero_mult}")
     if spec.total_multiplicity != ctx.vertices:
@@ -145,7 +192,7 @@ def base_spectrum(graph: Graph) -> tuple[Spectrum, SpectrumContext]:
     if has_two != graph.bipartite:
         raise RuntimeError("eigenvalue 2 disagrees with the bipartite flag")
     ctx = SpectrumContext(graph.vertex_count, len(graph.edges), graph.bipartite)
-    return Spectrum(tuple(entries)), ctx
+    return Spectrum.from_entries(entries), ctx
 
 
 def transform_spectrum(spec: Spectrum, ctx: SpectrumContext,
@@ -168,9 +215,9 @@ def transform_spectrum(spec: Spectrum, ctx: SpectrumContext,
     new_edges = (n + 1) * ctx.edges
     cycles = ctx.edges - ctx.vertices + 1
     minus_mult = cycles if ctx.bipartite else cycles - 1
-    entries = [SpectrumEntry(0.0, 1, SOURCE_ZERO)]
+    blocks = [(np.zeros(1), 1, SOURCE_ZERO)]
     if out_bipartite:
-        entries.append(SpectrumEntry(2.0, 1, SOURCE_TWO))
+        blocks.append((np.full(1, 2.0), 1, SOURCE_TWO))
     if odd:
         plan = [(roots.FamilyKind.ODD_ZERO, ctx.vertices, SOURCE_FAMILY_ZERO),
                 (roots.FamilyKind.ODD_PLUS, cycles, SOURCE_FAMILY_PLUS),
@@ -185,21 +232,29 @@ def transform_spectrum(spec: Spectrum, ctx: SpectrumContext,
         if mult == 0:
             continue
         family = roots.roots_of_family(roots.RootFamily(kind, n))
-        entries.extend(SpectrumEntry(r, mult, tag) for r in family.roots)
-    inner = [e for e in spec.entries
-             if not (_is_zero(e.value) or _is_two(e.value))]
-    if inner:
-        table = roots.solve_lambda_many(n, [e.value for e in inner])
-        for e, row in zip(inner, table):
-            entries.extend(
-                SpectrumEntry(float(r), e.multiplicity, SOURCE_LIFTED,
-                              origin=e.value) for r in row)
-    total = sum(e.multiplicity for e in entries)
+        blocks.append((np.array(family.roots), mult, tag))
+    inner = ~(_is_zero(spec.values) | _is_two(spec.values))
+    lams = spec.values[inner]
+    table = roots.solve_lambda_many(n, lams)
+    # Each parent, a fixed block or one eigenvalue off {0, 2} with its row
+    # of the transfer table, passes its multiplicity, tag and origin on.
+    fixed, fixed_mults, tags = zip(*blocks)
+    counts = [len(block) for block in fixed] + [table.shape[1]] * len(lams)
+    mults = np.concatenate((np.array(fixed_mults, dtype=object),
+                            spec.multiplicities[inner]))
+    codes = np.array([_CODE[t] for t in tags] + [_LIFTED] * len(lams),
+                     dtype=np.int8)
+    origins = np.concatenate((np.full(len(fixed), -1.0), lams))
+    mults, codes, origins = (np.repeat(column, counts)
+                             for column in (mults, codes, origins))
+    values = np.concatenate(fixed + (table.ravel(),))
+    total = sum(mults.tolist())
     if total != new_vertices:
         raise RuntimeError(
             f"multiplicity ledger mismatch: {total} != {new_vertices}")
-    entries.sort(key=_entry_order)
-    return (Spectrum(tuple(entries)),
+    order = np.lexsort((origins, codes, values))
+    return (Spectrum(values[order], mults[order], codes[order],
+                     origins[order]),
             SpectrumContext(new_vertices, new_edges, out_bipartite))
 
 

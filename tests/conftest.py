@@ -62,3 +62,14 @@ def build_corpus():
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+def poly_mul(p, q) -> list:
+    """Exact product of two ascending coefficient vectors."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out

@@ -20,7 +20,7 @@ import pytest
 
 from ngonspec import aseries, cli, graphs, invariants, oracle, roots, spectrum
 
-from conftest import random_connected_graph
+from conftest import poly_mul, random_connected_graph
 
 SPECTRUM_TOL = 1e-8
 INVARIANT_REL_TOL = 1e-9
@@ -194,18 +194,18 @@ def test_criterion_6_recurrence_identity_suite():
         assert reflected == [c if n % 2 == 0 else -c for c in full]
         if n % 2:
             h = (n + 1) // 2
-            split = aseries.poly_mul(
+            split = poly_mul(
                 aseries.linear_combination([(1, h), (-1, h - 2)]),
                 list(aseries.coeffs_a(h - 1).coeffs))
-            shifted = aseries.poly_mul(
+            shifted = poly_mul(
                 aseries.linear_combination([(1, h - 1), (-1, h - 2)]),
                 aseries.linear_combination([(1, h), (1, h - 1)]))
         else:
             h = n // 2
-            split = aseries.poly_mul(
+            split = poly_mul(
                 aseries.linear_combination([(1, h), (-1, h - 1)]),
                 aseries.linear_combination([(1, h), (1, h - 1)]))
-            shifted = aseries.poly_mul(
+            shifted = poly_mul(
                 aseries.linear_combination([(1, h), (-1, h - 2)]),
                 list(aseries.coeffs_a(h).coeffs))
         assert split == full
@@ -278,7 +278,7 @@ def test_criterion_9_scale_and_performance():
     entries = [spectrum.SpectrumEntry(0.0, 1, spectrum.SOURCE_ZERO)]
     entries.extend(spectrum.SpectrumEntry(v, 1, spectrum.SOURCE_BASE)
                    for v in values)
-    spec = spectrum.Spectrum(tuple(entries))
+    spec = spectrum.Spectrum.from_entries(entries)
     ctx = spectrum.SpectrumContext(1000, 1500, False)
     start = time.perf_counter()
     out, out_ctx = spectrum.iterate_spectrum(spec, ctx, 9, 1)

@@ -49,6 +49,12 @@ def test_parse_edge_list_rejects_disconnected():
         graphs.parse_edge_list("0 1\n2 3\n")
 
 
+def test_disconnected_error_counts_components():
+    assert graphs.make_graph(6, [(0, 1), (2, 3), (4, 5)]).components == 3
+    with pytest.raises(graphs.GraphError, match=r"\(3 components\)"):
+        graphs.parse_edge_list("0 1\n2 3\n4 5\n")
+
+
 def test_transform_square_from_single_edge():
     k2 = complete_graph(2)
     grown = graphs.polygon_transform(k2, 3)

@@ -110,21 +110,56 @@ def test_iterated_transfer_matches_oracle():
     assert report.matched
 
 
+def test_columns_are_ordered_and_round_trip(corpus):
+    for graph in corpus.values():
+        for n in range(2, 8):
+            spec, ctx = spectrum.base_spectrum(graph)
+            for g in range(3):
+                if g:
+                    spec, ctx = spectrum.transform_spectrum(spec, ctx, n)
+                keys = [(e.value, e.source,
+                         -1.0 if e.origin is None else e.origin)
+                        for e in spec.entries]
+                assert keys == sorted(keys)
+                assert len(spec.entries) == len(spec.values)
+                again = spectrum.Spectrum.from_entries(spec.entries)
+                for column in ("values", "sources", "origins"):
+                    want, got = getattr(spec, column), getattr(again, column)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                assert again.multiplicities.tolist() \
+                    == spec.multiplicities.tolist()
+
+
+def test_multiplicities_outgrow_64_bits():
+    big = 2 ** 70
+    spec = spectrum.Spectrum.from_entries((
+        spectrum.SpectrumEntry(0.0, 1, "zero"),
+        spectrum.SpectrumEntry(1.5, big, "base")))
+    ctx = spectrum.SpectrumContext(big + 1, 2 * big, False)
+    out, out_ctx = spectrum.transform_spectrum(spec, ctx, 3)
+    assert out_ctx.vertices == big + 1 + 2 * 2 * big
+    assert out.total_multiplicity == out_ctx.vertices
+    mults = out.multiplicities.tolist()
+    assert all(type(m) is int for m in mults)
+    assert max(mults) > 2 ** 64
+
+
 def test_input_validation():
     ctx = spectrum.SpectrumContext(3, 3, False)
-    good = spectrum.Spectrum((
+    good = spectrum.Spectrum.from_entries((
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(1.5, 2, "base")))
     with pytest.raises(ValueError):
         spectrum.transform_spectrum(good, ctx, 1)
-    bad_total = spectrum.Spectrum(good.entries[:1])
+    bad_total = spectrum.Spectrum.from_entries(good.entries[:1])
     with pytest.raises(ValueError):
         spectrum.transform_spectrum(bad_total, ctx, 2)
-    no_zero = spectrum.Spectrum((
+    no_zero = spectrum.Spectrum.from_entries((
         spectrum.SpectrumEntry(1.5, 3, "base"),))
     with pytest.raises(ValueError):
         spectrum.transform_spectrum(no_zero, ctx, 2)
-    out_of_range = spectrum.Spectrum((
+    out_of_range = spectrum.Spectrum.from_entries((
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(2.5, 2, "base")))
     with pytest.raises(ValueError):
