@@ -20,11 +20,11 @@ class GraphError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """Raised when an explicit construction would exceed a size cap."""
+    """Raised when work on an explicit graph would exceed a size cap."""
 
-    def __init__(self, predicted: int, cap: int):
-        super().__init__(
-            f"explicit construction needs {predicted} vertices, cap is {cap}")
+    def __init__(self, predicted: int, cap: int,
+                 subject: str = "explicit construction"):
+        super().__init__(f"{subject} needs {predicted} vertices, cap is {cap}")
         self.predicted = predicted
         self.cap = cap
 

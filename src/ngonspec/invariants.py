@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import oracle
 from .graphs import Graph, predict_counts
-from .spectrum import Spectrum, SpectrumContext
+from .spectrum import ZERO_CODE, Spectrum, SpectrumContext
 
 METHOD_SPECTRUM = "from-spectrum"
 METHOD_CLOSED = "closed-form"
@@ -49,15 +49,14 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
     fragile for large graphs.
     """
     product = degrees if isinstance(degrees, int) else math.prod(degrees)
-    rows = list(zip(spec.values.tolist(), spec.multiplicities.tolist()))
-    zero_mult = sum(mult for value, mult in rows if abs(value) < 1e-12)
+    zero = spec.sources == ZERO_CODE
+    zero_mult = sum(spec.multiplicities[zero].tolist())
     if zero_mult != 1:
         raise ValueError(f"0 must have multiplicity 1, found {zero_mult}")
     reciprocal = 0.0
     log_product = 0.0
-    for value, mult in rows:
-        if abs(value) < 1e-12:
-            continue
+    for value, mult in zip(spec.values[~zero].tolist(),
+                           spec.multiplicities[~zero].tolist()):
         reciprocal += mult / value
         log_product += mult * math.log(value)
     kirchhoff = 2 * ctx.edges * reciprocal

@@ -21,7 +21,7 @@ from .graphs import Graph
 
 CLUSTER_TOL = 1e-7   # numeric eigenvalues closer than this merge
 SNAP_TOL = 1e-9      # distance at which a value snaps to exactly 0 or 2
-EDGE_TOL = 1e-12     # values this close to 0 or 2 are treated as 0 or 2
+EDGE_TOL = 1e-12     # slack of the [0, 2] range; this close to 2 counts as 2
 
 SOURCE_ZERO = "zero"
 SOURCE_TWO = "two"
@@ -30,10 +30,6 @@ SOURCE_FAMILY_PLUS = "family-plus"
 SOURCE_FAMILY_MINUS = "family-minus"
 SOURCE_LIFTED = "lifted"
 SOURCE_BASE = "base"
-
-
-def _is_zero(value: float) -> bool:
-    return abs(value) < EDGE_TOL
 
 
 def _is_two(value: float) -> bool:
@@ -46,6 +42,7 @@ SOURCES = tuple(sorted((SOURCE_ZERO, SOURCE_TWO, SOURCE_FAMILY_ZERO,
                         SOURCE_LIFTED, SOURCE_BASE)))
 _CODE = {tag: code for code, tag in enumerate(SOURCES)}
 _LIFTED = _CODE[SOURCE_LIFTED]
+ZERO_CODE = _CODE[SOURCE_ZERO]  # the eigenvalue 0 is its tag, not its size
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ def _check_input(spec: Spectrum, ctx: SpectrumContext) -> None:
         if mult < 1:
             raise ValueError(f"nonpositive multiplicity at value {value}")
         raise ValueError(f"eigenvalue {value} outside [0, 2]")
-    zero_mult = sum(mults[_is_zero(values)].tolist())
+    zero_mult = sum(mults[spec.sources == ZERO_CODE].tolist())
     if zero_mult != 1:
         raise ValueError(f"0 must have multiplicity 1, found {zero_mult}")
     if spec.total_multiplicity != ctx.vertices:
@@ -233,7 +230,7 @@ def transform_spectrum(spec: Spectrum, ctx: SpectrumContext,
             continue
         family = roots.roots_of_family(roots.RootFamily(kind, n))
         blocks.append((np.array(family.roots), mult, tag))
-    inner = ~(_is_zero(spec.values) | _is_two(spec.values))
+    inner = ~((spec.sources == ZERO_CODE) | _is_two(spec.values))
     lams = spec.values[inner]
     table = roots.solve_lambda_many(n, lams)
     # Each parent, a fixed block or one eigenvalue off {0, 2} with its row

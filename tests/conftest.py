@@ -73,3 +73,48 @@ def poly_mul(p, q) -> list:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
+
+
+def bareiss_det(mat) -> int:
+    """Exact determinant by Bareiss elimination; every division is exact.
+
+    The reference for the oracle's multi-modular determinant. mat is a
+    list of integer rows and is overwritten.
+    """
+    size = len(mat)
+    if size == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if mat[k][k] == 0:
+            for r in range(k + 1, size):
+                if mat[r][k] != 0:
+                    mat[k], mat[r] = mat[r], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = mat[k][k]
+        row_k = mat[k]
+        for i in range(k + 1, size):
+            row_i = mat[i]
+            factor = row_i[k]
+            for j in range(k + 1, size):
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * mat[size - 1][size - 1]
+
+
+def bareiss_tree_count(graph, drop=0) -> int:
+    """Spanning-tree count as a Bareiss cofactor of the integer Laplacian."""
+    count = graph.vertex_count
+    lap = [[0] * count for _ in range(count)]
+    for u, v in graph.edges:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    return bareiss_det([[lap[i][j] for j in range(count) if j != drop]
+                        for i in range(count) if i != drop])

@@ -201,6 +201,33 @@ def test_cap_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_tree_count_cap_names_the_tree_count(tmp_path, capsys):
+    count = oracle.TREE_COUNT_CAP + 1
+    path = write(tmp_path, "c401.txt", "".join(
+        f"{i} {(i + 1) % count}\n" for i in range(count)))
+    assert cli.main(["invariants", path, "--n", "2"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: exact spanning-tree count needs {count} vertices, "
+        f"cap is {oracle.TREE_COUNT_CAP}")
+
+
+K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+
+
+@pytest.mark.parametrize("text, g", [(TRIANGLE, 42), (K4, 40), (K4, 42)])
+def test_tiny_lifted_values_are_not_zero(tmp_path, capsys, text, g):
+    # The smallest lifted value is about 1e-12 or less here; only the row
+    # tagged zero is the eigenvalue 0.
+    path = write(tmp_path, "base.txt", text)
+    code, out = run_cli(capsys, ["spectrum", path, "--n", "2", "--g", str(g)])
+    assert code == 0
+    doc = json.loads(out)
+    rows = doc["spectrum"]
+    assert [r["source"] for r in rows].count("zero") == 1
+    assert 0.0 < rows[1]["value"] < 1.5e-12
+    assert sum(int(r["multiplicity"]) for r in rows) == int(doc["meta"]["N"])
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     path = write(tmp_path, "c4.txt", SQUARE)
     argv = ["spectrum", path, "--n", "4", "--g", "2"]

@@ -142,3 +142,16 @@ def test_float_inputs_stay_floats():
     got = invariants.kirchhoff_closed(8.0, 3, 3, 2, 1)
     assert isinstance(got, float)
     assert abs(got - 84.0) < 1e-9
+
+
+def test_kemeny_from_a_spectrum_with_tiny_lifted_values(corpus):
+    # At g = 42 the smallest lifted value of the triangle is below 1e-12;
+    # it must count as an eigenvalue, not as a second zero.
+    base = corpus["K3"]
+    spec, ctx = spectrum.base_spectrum(base)
+    k0 = invariants.invariants_from_spectrum(spec, ctx, base.degrees).kemeny
+    grown, grown_ctx = spectrum.iterate_spectrum(spec, ctx, 2, 42)
+    assert 0.0 < grown.values[1] < 1e-12
+    report = invariants.invariants_from_spectrum(grown, grown_ctx, 1)
+    closed = invariants.kemeny_closed(k0, 3, 3, 2, 42)
+    assert abs(report.kemeny / closed - 1) < 1e-12

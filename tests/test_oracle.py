@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ngonspec import graphs, oracle
 
-from conftest import (complete_graph, cycle_graph, path_graph, petersen_graph,
+from conftest import (bareiss_det, bareiss_tree_count, complete_graph,
+                      cycle_graph, path_graph, petersen_graph,
                       random_connected_graph, star_graph)
 
 
@@ -82,6 +87,113 @@ def test_matrix_tree_guards():
         oracle.matrix_tree_count(graphs.make_graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
         oracle.matrix_tree_count(complete_graph(3), drop=7)
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=150)
+
+
+def row_sum_bound(rows) -> int:
+    """Product of the rows' absolute sums: at least Hadamard's bound."""
+    return math.prod(sum(map(abs, row)) for row in rows)
+
+
+def modular_det(rows) -> int:
+    return oracle._modular_det(np.array(rows, dtype=np.int64).reshape(
+        len(rows), len(rows)), row_sum_bound(rows))
+
+
+SQUARE_MATRICES = st.integers(0, 7).flatmap(lambda size: st.lists(
+    st.lists(st.integers(-9, 9), min_size=size, max_size=size),
+    min_size=size, max_size=size))
+
+
+@PROPERTY
+@given(rows=SQUARE_MATRICES)
+@example(rows=[[2, 3], [5, 1]])                       # negative, -13
+@example(rows=[[1, 2, 3], [2, 4, 6], [0, 1, 5]])       # singular
+@example(rows=[[0, 2, 1], [3, 1, 4], [1, 5, 9]])       # swap at the start
+@example(rows=[[4, 2, 7], [2, 1, 9], [3, 8, 1]])       # swap after a step
+def test_modular_det_matches_bareiss(rows):
+    assert modular_det(rows) == bareiss_det([list(r) for r in rows])
+
+
+@PROPERTY
+@given(data=st.data(), size=st.integers(1, 6), multiple=st.integers(-3, 3))
+def test_modular_det_with_a_residue_of_zero(data, size, multiple):
+    # L @ U with unit lower-triangular L and det U a multiple of the first
+    # prime, then rows permuted: det mod that prime is 0 while det may not be.
+    small = st.integers(-3, 3)
+    lower = np.eye(size, dtype=np.int64)
+    upper = np.zeros((size, size), dtype=np.int64)
+    for i in range(size):
+        lower[i, :i] = data.draw(st.lists(small, min_size=i, max_size=i))
+        upper[i, i + 1:] = data.draw(
+            st.lists(small, min_size=size - i - 1, max_size=size - i - 1))
+        upper[i, i] = data.draw(st.integers(1, 3))
+    upper[0, 0] = multiple * oracle._prime(0)
+    order = data.draw(st.permutations(range(size)))
+    rows = (lower @ upper)[list(order)].tolist()
+    want = bareiss_det([list(r) for r in rows])
+    assert want % oracle._prime(0) == 0
+    assert modular_det(rows) == want
+
+
+def test_modular_det_hand_cases():
+    first = oracle._prime(0)
+    assert modular_det([]) == 1
+    assert modular_det([[-5]]) == -5
+    assert modular_det([[0, 1], [1, 0]]) == -1
+    assert modular_det([[0, 0], [0, 3]]) == 0
+    assert modular_det([[first, 1], [0, 3]]) == 3 * first
+    assert modular_det([[first, 1], [first, 1 - first]]) == -first * first
+    # A tight bound: one prime covers |det| but not twice it.
+    for det in (first - 1, 1 - first):
+        assert oracle._modular_det(np.array([[det]]), first - 1) == det
+    with pytest.raises(ValueError):
+        oracle._modular_det(np.zeros((oracle.MAX_MODULAR_ORDER,) * 2,
+                                     dtype=np.int64), 1)
+
+
+def test_primes_are_the_largest_below_the_limit():
+    count = 60
+    primes = [oracle._prime(i) for i in range(count)]
+    small = np.array([q for q in range(2, 8193)
+                      if all(q % d for d in range(2, math.isqrt(q) + 1))])
+    span = np.arange(primes[-1], oracle.PRIME_LIMIT, dtype=np.int64)
+    prime = np.all(span[:, None] % small[None, :] != 0, axis=1)
+    assert span[prime][::-1].tolist() == primes
+
+
+def test_primes_are_not_made_at_import():
+    code = "import ngonspec as n; print(len(n.oracle._PRIMES))"
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "0"
+
+
+def test_matrix_tree_matches_bareiss(corpus):
+    for graph in corpus.values():
+        for drop in (0, graph.vertex_count - 1):
+            assert oracle.matrix_tree_count(graph, drop=drop) \
+                == bareiss_tree_count(graph, drop)
+    cases = [(complete_graph(3), 2, 4), (complete_graph(4), 3, 2),
+             (cycle_graph(5), 2, 3), (petersen_graph(), 2, 2),
+             (star_graph(5), 4, 2), (path_graph(4), 5, 2)]
+    grown = [graphs.iterate_transform(g, n, steps) for g, n, steps in cases]
+    assert max(g.vertex_count for g in grown) == 123
+    for graph in grown:
+        assert oracle.matrix_tree_count(graph) == bareiss_tree_count(graph)
+
+
+def test_matrix_tree_drop_choice_on_a_large_graph():
+    grown = graphs.iterate_transform(complete_graph(3), 2, 4)
+    assert grown.vertex_count >= 100
+    counts = {oracle.matrix_tree_count(grown, drop=d)
+              for d in (0, 1, 57, grown.vertex_count - 1)}
+    assert len(counts) == 1
 
 
 def test_compare_spectra():
