@@ -1,8 +1,10 @@
 """Byte-equality gate on CLI stdout.
 
-golden_stdout.json holds the exit code and the sha256 digest of stdout of
-`spectrum` and `invariants`, in both output formats, for every conftest
-corpus graph with n in 2..7 and g in 0..2. Base eigenvalues come from
+golden_stdout.json holds the exit code and the sha256 digest of stdout
+for every conftest corpus graph with n in 2..7: `spectrum`, `invariants`
+and `invariants --exact` in both output formats with g in 0..2, `verify`
+in both formats with g in 0..1, and `transform` with g in 0..2. Base
+eigenvalues come from
 LAPACK, so the digests belong to the Python and numpy versions recorded
 with them. After a deliberate output change, record them again with
 
@@ -26,34 +28,48 @@ from ngonspec import cli
 from conftest import build_corpus
 
 GOLDEN = Path(__file__).with_name("golden_stdout.json")
-COMMANDS = ("spectrum", "invariants")
 FORMATS = ("json", "csv")
+# (command with its flags, output formats, generations); transform ignores
+# the output format, so its keys carry none.
+GROUPS = ((("spectrum",), FORMATS, 3),
+          (("invariants",), FORMATS, 3),
+          (("invariants", "--exact"), FORMATS, 3),
+          (("verify",), FORMATS, 2),
+          (("transform",), (None,), 3))
+CASES = [(command, fmt, gens) for command, fmts, gens in GROUPS
+         for fmt in fmts]
 
 
-def run_cases(command, fmt, directory):
+def case_prefix(command, fmt):
+    return " ".join(command + ((fmt,) if fmt else ())) + " "
+
+
+def run_cases(command, fmt, gens, directory):
     """{case key: [exit code, stdout sha256]} over the corpus, n and g."""
     out = {}
+    flags = ["--output-format", fmt] if fmt else []
     for name, graph in build_corpus().items():
         path = directory / f"{name}.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges))
         for n in range(2, 8):
-            for g in range(3):
+            for g in range(gens):
                 buffer = io.StringIO()
                 with contextlib.redirect_stdout(buffer):
-                    code = cli.main([command, str(path), "--n", str(n),
-                                     "--g", str(g), "--output-format", fmt])
+                    code = cli.main([command[0], str(path), *command[1:],
+                                     "--n", str(n), "--g", str(g), *flags])
                 digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
-                out[f"{command} {fmt} {name} n={n} g={g}"] = [code, digest]
+                key = f"{case_prefix(command, fmt)}{name} n={n} g={g}"
+                out[key] = [code, digest]
     return out
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("command", COMMANDS)
-def test_stdout_matches_golden(command, fmt, tmp_path):
+@pytest.mark.parametrize("command, fmt, gens", CASES,
+                         ids=[case_prefix(c, f).strip() for c, f, _ in CASES])
+def test_stdout_matches_golden(command, fmt, gens, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     want = {key: value for key, value in golden["cases"].items()
-            if key.startswith(f"{command} {fmt} ")}
-    got = run_cases(command, fmt, tmp_path)
+            if key.startswith(case_prefix(command, fmt))}
+    got = run_cases(command, fmt, gens, tmp_path)
     assert got.keys() == want.keys()
     changed = sorted(key for key in want if got[key] != want[key])
     assert not changed, (
@@ -65,9 +81,8 @@ def test_stdout_matches_golden(command, fmt, tmp_path):
 if __name__ == "__main__":
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            for fmt in FORMATS:
-                cases.update(run_cases(command, fmt, Path(tmp)))
+        for command, fmt, gens in CASES:
+            cases.update(run_cases(command, fmt, gens, Path(tmp)))
     rows = ",\n".join(f"  {json.dumps(key)}: {json.dumps(cases[key])}"
                       for key in sorted(cases))
     GOLDEN.write_text(
