@@ -128,13 +128,10 @@ def _cmd_invariants(cfg: RunConfig, graph: graphs.Graph) -> int:
     n0, e0 = graph.vertex_count, len(graph.edges)
     base_spec, base_ctx = spectrum.base_spectrum(graph)
     product0 = invariants.degree_product(graph)
-    nst0 = oracle.matrix_tree_count(graph)
     if cfg.exact_mode:
-        kf0, k0, nst_exact = invariants.exact_invariants(graph)
-        if nst_exact != nst0:
-            raise RuntimeError(
-                f"tree counts disagree: {nst_exact} vs {nst0}")
+        kf0, k0, nst0 = invariants.exact_invariants(graph)
     else:
+        nst0 = oracle.matrix_tree_count(graph)
         base = invariants.invariants_from_spectrum(base_spec, base_ctx,
                                                    product0)
         kf0, k0 = base.kirchhoff_multiplicative, base.kemeny
@@ -247,9 +244,13 @@ def _cmd_verify(cfg: RunConfig, graph: graphs.Graph) -> int:
 
 def _cmd_lift(cfg: RunConfig, graph: graphs.Graph) -> int:
     with open(cfg.eigenpair_path) as handle:
-        pair = json.load(handle)
-    lam = float(pair["value"])
-    vec = [float(x) for x in pair["vector"]]
+        pair = json.load(handle, parse_int=float)
+    if not (isinstance(pair, dict) and isinstance(pair.get("vector"), list)
+            and all(isinstance(x, float) and math.isfinite(x)
+                    for x in [pair.get("value"), *pair["vector"]])):
+        raise ValueError('eigenpair file must hold finite numbers as '
+                         '{"value": number, "vector": [number, ...]}')
+    lam, vec = pair["value"], pair["vector"]
     grown = graphs.iterate_transform(graph, cfg.n, 1, cfg.explicit_cap)
     lifts = []
     worst = 0.0
@@ -310,8 +311,6 @@ def parse_config(argv=None) -> RunConfig:
     common.add_argument("--explicit-cap", type=int,
                         default=graphs.DEFAULT_EXPLICIT_CAP,
                         help="largest vertex count built explicitly")
-    common.add_argument("--exact", action="store_true",
-                        help="exact rational invariants (invariants command)")
     parser = _Parser(prog="ngonspec",
                      description="spectra and invariants of edge-to-polygon "
                                  "graph growth")
@@ -320,8 +319,10 @@ def parse_config(argv=None) -> RunConfig:
                    help="write the grown graph's edge list")
     sub.add_parser("spectrum", parents=[common],
                    help="spectrum of the grown graph, no explicit build")
-    sub.add_parser("invariants", parents=[common],
-                   help="invariant chain for generations 0..g")
+    inv = sub.add_parser("invariants", parents=[common],
+                         help="invariant chain for generations 0..g")
+    inv.add_argument("--exact", action="store_true",
+                     help="exact rational base values")
     sub.add_parser("verify", parents=[common],
                    help="compare the spectrum pipeline against the oracle")
     lift = sub.add_parser("lift", parents=[common],
@@ -339,7 +340,8 @@ def parse_config(argv=None) -> RunConfig:
         parser.error("--explicit-cap must be at least 2")
     return RunConfig(command=ns.command, input_path=ns.input, n=ns.n, g=ns.g,
                      tolerance=ns.tolerance, output_format=ns.output_format,
-                     explicit_cap=ns.explicit_cap, exact_mode=ns.exact,
+                     explicit_cap=ns.explicit_cap,
+                     exact_mode=getattr(ns, "exact", False),
                      eigenpair_path=getattr(ns, "eigenpair", None))
 
 

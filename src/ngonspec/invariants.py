@@ -5,9 +5,9 @@ reciprocal nonzero normalized-Laplacian eigenvalues), Kemeny's constant
 (that same sum), and spanning-tree counts. Closed forms advance all three
 across generations using only base-graph quantities. Spanning-tree
 arithmetic is exact integer end to end; the spectrum-side tree count is a
-floating-point advisory. An exact rational mode recovers values like 14/3
-for desk-size graphs via the characteristic polynomial of the walk
-operator.
+floating-point advisory. An exact rational mode recovers base values like
+14/3 from the resistance form of the Kirchhoff index, evaluated by the
+oracle's one modular elimination.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class InvariantReport:
     kirchhoff_multiplicative: float | Fraction
     kemeny: float | Fraction
     spanning_trees: int | None
-    spanning_trees_float: float | None
     method: str
     generation: int
 
@@ -45,7 +44,7 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
 
     degrees may be the per-vertex degree sequence or the precomputed degree
     product. The tree count from the eigenvalue product is advisory: it is
-    reported as a float (and rounded when finite) but is numerically
+    rounded from a float (None past float range) and is numerically
     fragile for large graphs.
     """
     product = degrees if isinstance(degrees, int) else math.prod(degrees)
@@ -53,8 +52,7 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
     zero_mult = sum(spec.multiplicities[zero].tolist())
     if zero_mult != 1:
         raise ValueError(f"0 must have multiplicity 1, found {zero_mult}")
-    reciprocal = 0.0
-    log_product = 0.0
+    reciprocal = log_product = 0.0
     for value, mult in zip(spec.values[~zero].tolist(),
                            spec.multiplicities[~zero].tolist()):
         reciprocal += mult / value
@@ -62,12 +60,11 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
     kirchhoff = 2 * ctx.edges * reciprocal
     log_trees = math.log(product) + log_product - math.log(2 * ctx.edges)
     try:
-        trees_float = math.exp(log_trees)
+        trees = round(math.exp(log_trees))
     except OverflowError:
-        trees_float = math.inf
-    trees = round(trees_float) if math.isfinite(trees_float) else None
-    return InvariantReport(kirchhoff, reciprocal, trees, trees_float,
-                           METHOD_SPECTRUM, generation)
+        trees = None
+    return InvariantReport(kirchhoff, reciprocal, trees, METHOD_SPECTRUM,
+                           generation)
 
 
 def kirchhoff_step(kf0, n0: int, e0: int, n: int):
@@ -167,63 +164,12 @@ def degree_product_closed(p0: int, n0: int, e0: int, n: int, g: int) -> int:
     return p0 << shift
 
 
-def _mat_mul(a, b):
-    size = len(a)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        row = a[i]
-        out_row = out[i]
-        for k in range(size):
-            f = row[k]
-            if f:
-                b_row = b[k]
-                for j in range(size):
-                    out_row[j] += f * b_row[j]
-    return out
-
-
-def _charpoly(mat) -> list[Fraction]:
-    """det(xI - M) by the Faddeev-LeVerrier iteration, ascending coefficients."""
-    size = len(mat)
-    coeffs = [Fraction(0)] * (size + 1)
-    coeffs[size] = Fraction(1)
-    aux = [[Fraction(0)] * size for _ in range(size)]
-    for k in range(1, size + 1):
-        prod = _mat_mul(mat, aux)
-        for i in range(size):
-            prod[i][i] += coeffs[size - k + 1]
-        trace = sum(sum(mat[i][j] * prod[j][i] for j in range(size))
-                    for i in range(size))
-        coeffs[size - k] = -trace / k
-        aux = prod
-    return coeffs
-
-
 def exact_invariants(graph: Graph) -> tuple[Fraction, Fraction, int]:
-    """Exact (kirchhoff, kemeny, spanning_trees) for a desk-size graph.
+    """Exact (kirchhoff, kemeny, spanning_trees) of a base graph.
 
-    Works from the characteristic polynomial of I - D^{-1}A in rational
-    arithmetic: Kemeny's constant is -c2/c1 after the zero eigenvalue is
-    factored out, and the nonzero eigenvalue product gives the tree count.
-    Cost grows like N^4, so keep N modest.
+    oracle.kirchhoff_tree_count eliminates [L0 | I] modulo primes, skips
+    those dividing tau and joins tau and Kf * tau by CRT; Kemeny's constant
+    is Kf / (2E). The vertex cap is that of oracle.matrix_tree_count.
     """
-    if not graph.connected:
-        raise ValueError("invariants require a connected graph")
-    count = graph.vertex_count
-    walk = [[Fraction(0)] * count for _ in range(count)]
-    for i in range(count):
-        walk[i][i] = Fraction(1)
-    for u, v in graph.edges:
-        walk[u][v] = -Fraction(1, graph.degrees[u])
-        walk[v][u] = -Fraction(1, graph.degrees[v])
-    coeffs = _charpoly(walk)
-    if coeffs[0] != 0:
-        raise RuntimeError("walk operator lost its zero eigenvalue")
-    kemeny = -coeffs[2] / coeffs[1]
-    edges = len(graph.edges)
-    kirchhoff = 2 * edges * kemeny
-    nonzero_product = (-1) ** (count - 1) * coeffs[1]
-    trees = nonzero_product * degree_product(graph) / (2 * edges)
-    if trees.denominator != 1 or trees < 1:
-        raise RuntimeError(f"tree count came out as {trees}")
-    return kirchhoff, kemeny, int(trees)
+    kirchhoff, trees = oracle.kirchhoff_tree_count(graph)
+    return kirchhoff, kirchhoff / (2 * len(graph.edges)), trees

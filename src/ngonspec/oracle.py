@@ -1,22 +1,27 @@
 """Brute-force ground truth for the closed-form pipeline.
 
 Everything here works directly on an explicitly constructed graph: dense
-normalized Laplacian, eigenvalues from LAPACK, exact spanning-tree counts,
-and multiset spectrum comparison. None of it shares logic with the
-recurrence or root modules, which is the point of having an oracle.
+normalized Laplacian, eigenvalues from LAPACK, exact spanning-tree counts
+and Kirchhoff indices, and multiset spectrum comparison. None of it shares
+logic with the recurrence or root modules, which is the point of having an
+oracle.
 
-Spanning trees are counted by the Matrix-Tree theorem with a multi-modular
-determinant: the reduced integer Laplacian is eliminated densely in int64
-modulo primes below 2**26, and the residues are joined by the Chinese
-remainder theorem until the modulus exceeds twice Hadamard's bound, the
-product of the kept degrees. Elimination mod p keeps every entry below
-order * p**2, so orders of 2048 and more are refused.
+Exact values come from one kernel: [L0 | B], the reduced integer Laplacian
+beside a right-hand side, is eliminated in int64 modulo primes below 2**26
+for det L0 and adj(L0) @ B mod p, and the Chinese remainder theorem joins
+residues until the modulus exceeds twice a bound. Tree counts take a
+zero-width B and Hadamard's bound, the kept-degree product; the Kirchhoff
+index takes B = I, skips primes dividing the tree count and multiplies the
+bound by 2 E**2 N. Entries stay below order * p**2 < 2**63, so orders of
+2048 and more are refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -107,22 +112,28 @@ def _prime(index: int) -> int:
     return _PRIMES[index]
 
 
-def _det_mod(mat: np.ndarray, p: int) -> int:
-    """det mat mod p by Gaussian elimination in int64.
+def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, p: int):
+    """det mat mod p and, when that is nonzero, adj(mat) @ rhs mod p.
 
-    Only the pivot column and row are reduced mod p; the trailing block
-    takes one unreduced rank-one update per step, each below p**2, so its
-    entries stay under order * p**2 < 2**63.
+    Gaussian elimination of [mat | rhs] in int64. Only the pivot column
+    and row are reduced mod p; the trailing block takes one unreduced
+    rank-one update per step, each below p**2, so its entries stay under
+    order * p**2 < 2**63. Back substitution gives x = mat^{-1} @ rhs, and
+    adj(mat) @ rhs = det * x; a zero-width rhs costs the determinant only.
     """
-    a = mat % p
+    size = len(mat)
+    if size >= MAX_MODULAR_ORDER:
+        raise ValueError(f"modular determinant needs order below "
+                         f"{MAX_MODULAR_ORDER}, got {size}")
+    a = np.concatenate((mat, rhs), axis=1) % p
     det = 1
-    for k in range(len(a)):
+    for k in range(size):
         col = a[k:, k] % p
         pivot = int(col[0])
         if not pivot:
             nonzero = np.flatnonzero(col)
             if not nonzero.size:
-                return 0
+                return 0, None
             r = int(nonzero[0])
             a[[k, k + r], k:] = a[[k + r, k], k:]
             col[[0, r]] = col[[r, 0]]
@@ -131,37 +142,39 @@ def _det_mod(mat: np.ndarray, p: int) -> int:
         det = det * pivot % p
         factors = col[1:] * pow(pivot, -1, p) % p
         a[k + 1:, k + 1:] -= np.multiply.outer(factors, a[k, k + 1:] % p)
-    return det % p
+    x = a[:, size:] % p
+    for k in range(size - 1, -1, -1) if x.size else ():
+        x[k] = ((x[k] - (a[k, k + 1:size] % p) @ x[k + 1:]) % p
+                * pow(int(a[k, k]), -1, p) % p)
+    return det % p, x * det % p
+
+
+def _crt(residues, bound: int, count: int = 1) -> list[int]:
+    """count integers in [-bound, bound] from (p, digits) residue pairs.
+
+    Primes are read until their product exceeds 2 * bound, and Garner's
+    mixed-radix step joins the digits.
+    """
+    values, modulus, residues = [0] * count, 1, iter(residues)
+    while modulus <= 2 * bound:
+        p, digits = next(residues)
+        inverse = pow(modulus, -1, p)
+        values = [v + modulus * ((r - v) * inverse % p)
+                  for v, r in zip(values, digits)]
+        modulus *= p
+    return [v - modulus if 2 * v > modulus else v for v in values]
 
 
 def _modular_det(mat: np.ndarray, bound: int) -> int:
-    """Exact det of an integer matrix with |det| <= bound, via CRT.
-
-    Residues modulo primes below 2**26 are combined until their product
-    exceeds 2 * bound, then read back in the symmetric range.
-    """
+    """Exact det of an integer matrix with |det| <= bound, via CRT."""
     mat = np.asarray(mat, dtype=np.int64)
-    if len(mat) >= MAX_MODULAR_ORDER:
-        raise ValueError(f"modular determinant needs order below "
-                         f"{MAX_MODULAR_ORDER}, got {len(mat)}")
-    residue, modulus, index = 0, 1, 0
-    while modulus <= 2 * bound:
-        p = _prime(index)
-        digit = (_det_mod(mat, p) - residue) * pow(modulus, -1, p) % p
-        residue += modulus * digit
-        modulus *= p
-        index += 1
-    return residue - modulus if 2 * residue > modulus else residue
+    (det,) = _crt(((p, _eliminate_mod(mat, mat[:, :0], p)[:1])
+                   for p in map(_prime, itertools.count())), bound)
+    return det
 
 
-def matrix_tree_count(graph: Graph, drop: int = 0,
-                      cap: int = TREE_COUNT_CAP) -> int:
-    """Exact spanning-tree count: one cofactor of the integer Laplacian.
-
-    Any row/column index may be dropped; the result does not depend on the
-    choice. The reduced Laplacian is positive definite, so Hadamard's
-    inequality bounds its determinant by the product of the kept degrees.
-    """
+def _reduced_laplacian(graph: Graph, drop: int, cap: int):
+    """The integer Laplacian without row and column drop; kept degrees."""
     count = graph.vertex_count
     if count > cap:
         raise CapExceededError(count, cap, "exact spanning-tree count")
@@ -174,8 +187,45 @@ def matrix_tree_count(graph: Graph, drop: int = 0,
     lap[u, v] = lap[v, u] = -1
     np.fill_diagonal(lap, graph.degrees)
     minor = np.delete(np.delete(lap, drop, 0), drop, 1)
-    bound = math.prod(graph.degrees[:drop] + graph.degrees[drop + 1:])
-    return _modular_det(minor, bound)
+    return minor, graph.degrees[:drop] + graph.degrees[drop + 1:]
+
+
+def matrix_tree_count(graph: Graph, drop: int = 0,
+                      cap: int = TREE_COUNT_CAP) -> int:
+    """Exact spanning-tree count: one cofactor of the integer Laplacian.
+
+    Any row/column index may be dropped; the result does not depend on the
+    choice. The reduced Laplacian is positive definite, so Hadamard's
+    inequality bounds its determinant by the product of the kept degrees.
+    """
+    minor, kept = _reduced_laplacian(graph, drop, cap)
+    return _modular_det(minor, math.prod(kept))
+
+
+def kirchhoff_tree_count(graph: Graph,
+                         cap: int = TREE_COUNT_CAP) -> tuple[Fraction, int]:
+    """Exact multiplicative degree-Kirchhoff index Kf and tree count tau.
+
+    With vertex 0 dropped, adj = adj(L0) = tau * L0^{-1}, and the resistance
+    form Kf * tau = 2E * sum d_i adj_ii - d^T adj d runs over the kept
+    degrees d (Chen & Zhang, Discrete Appl. Math. 155, 2007). Each prime
+    eliminates [L0 | I] once; primes dividing tau are skipped. Resistances
+    are below N, so the CRT bound is 2 E**2 N times Hadamard's bound on tau.
+    """
+    minor, kept = _reduced_laplacian(graph, 0, cap)
+    edges, degrees = len(graph.edges), np.asarray(kept, dtype=np.int64)
+    identity = np.eye(len(kept), dtype=np.int64)
+
+    def residues():
+        for p in map(_prime, itertools.count()):
+            tau, adj = _eliminate_mod(minor, identity, p)
+            if tau:
+                yield p, (tau, (2 * edges * int(degrees @ adj.diagonal())
+                                - int(degrees @ (adj @ degrees % p))) % p)
+
+    bound = math.prod(kept) * 2 * edges * edges * graph.vertex_count
+    tau, form = _crt(residues(), bound, 2)
+    return Fraction(form, tau), tau
 
 
 def compare_spectra(a, b, tol: float) -> ComparisonReport:

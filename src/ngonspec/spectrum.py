@@ -281,11 +281,11 @@ def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu: float,
     if vec.shape != (graph.vertex_count,):
         raise ValueError(
             f"vector length {vec.shape} does not match {graph.vertex_count}")
-    lap = oracle.normalized_laplacian(graph).entries
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError("zero vector")
-    if float(np.linalg.norm(lap @ vec - lam * vec)) > tol * norm:
+    residual = oracle.laplacian_matvec(graph, vec) - lam * vec
+    if float(np.linalg.norm(residual)) > tol * norm:
         raise ValueError("(lam, vec) is not an eigenpair of the base graph")
     a_last = aseries.eval_a(n - 1, float(mu))
     if abs(a_last) < 1e-12:

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -118,3 +120,60 @@ def bareiss_tree_count(graph, drop=0) -> int:
         lap[v][u] -= 1
     return bareiss_det([[lap[i][j] for j in range(count) if j != drop]
                         for i in range(count) if i != drop])
+
+
+def _fraction_mat_mul(a, b):
+    size = len(a)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        row = a[i]
+        out_row = out[i]
+        for k in range(size):
+            f = row[k]
+            if f:
+                b_row = b[k]
+                for j in range(size):
+                    out_row[j] += f * b_row[j]
+    return out
+
+
+def faddeev_leverrier_charpoly(mat) -> list:
+    """det(xI - M) by the Faddeev-LeVerrier iteration, ascending coefficients."""
+    size = len(mat)
+    coeffs = [Fraction(0)] * (size + 1)
+    coeffs[size] = Fraction(1)
+    aux = [[Fraction(0)] * size for _ in range(size)]
+    for k in range(1, size + 1):
+        prod = _fraction_mat_mul(mat, aux)
+        for i in range(size):
+            prod[i][i] += coeffs[size - k + 1]
+        trace = sum(sum(mat[i][j] * prod[j][i] for j in range(size))
+                    for i in range(size))
+        coeffs[size - k] = -trace / k
+        aux = prod
+    return coeffs
+
+
+def faddeev_leverrier_invariants(graph):
+    """Exact (kirchhoff, kemeny, spanning_trees) from the walk operator.
+
+    The reference for invariants.exact_invariants: the characteristic
+    polynomial of I - D^{-1}A in rational arithmetic. Kemeny's constant is
+    -c2/c1 once the zero eigenvalue is factored out, and the nonzero
+    eigenvalue product gives the tree count. Cost grows like N^4.
+    """
+    count = graph.vertex_count
+    walk = [[Fraction(0)] * count for _ in range(count)]
+    for i in range(count):
+        walk[i][i] = Fraction(1)
+    for u, v in graph.edges:
+        walk[u][v] = -Fraction(1, graph.degrees[u])
+        walk[v][u] = -Fraction(1, graph.degrees[v])
+    coeffs = faddeev_leverrier_charpoly(walk)
+    assert coeffs[0] == 0, "walk operator lost its zero eigenvalue"
+    kemeny = -coeffs[2] / coeffs[1]
+    edges = len(graph.edges)
+    nonzero_product = (-1) ** (count - 1) * coeffs[1]
+    trees = nonzero_product * math.prod(graph.degrees) / (2 * edges)
+    assert trees.denominator == 1 and trees >= 1, trees
+    return 2 * edges * kemeny, kemeny, int(trees)

@@ -303,6 +303,23 @@ def test_criterion_9_scale_and_performance():
                   f"{digits}-digit integers")
 
 
+def test_criterion_9_exact_mode_at_40_vertices(tmp_path, capsys):
+    base = random_connected_graph(random.Random(40), 40, 40)
+    path = tmp_path / "base.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in base.edges))
+    start = time.perf_counter()
+    code = cli.main(["invariants", str(path), "--n", "3", "--g", "2",
+                     "--exact"])
+    seconds = time.perf_counter() - start
+    first = json.loads(capsys.readouterr().out)["invariants"]["generations"][0]
+    ok = code == 0 and seconds < PERF_BUDGET_SECONDS \
+        and first["spanning_trees"] == str(oracle.matrix_tree_count(base)) \
+        and Fraction(first["kemeny"]) * 2 * len(base.edges) \
+        == Fraction(first["kirchhoff"])
+    report(9, ok, f"invariants --exact --g 2 on a 40-vertex base in "
+                  f"{seconds * 1000:.0f} ms, Kemeny {first['kemeny']}")
+
+
 def test_criterion_10_high_n_verify(corpus, tmp_path, capsys):
     worst = 0.0
     bad = []

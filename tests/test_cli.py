@@ -170,6 +170,33 @@ def test_lift_rejects_non_eigenpair(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("document", [
+    "[1, 2]",
+    '{"value": 1.5, "vector": 3}',
+    '{"value": null, "vector": [2, -1, -1]}',
+    '{"value": 1.5, "vector": [2, null, -1]}',
+    '{"value": 1.5, "vector": [2, -1e400, -1]}',
+    '{"value": NaN, "vector": [2, -1, -1]}',
+    '{"value": 1' + '0' * 400 + ', "vector": [2, -1, -1]}',
+])
+def test_lift_rejects_malformed_eigenpair_documents(tmp_path, capsys,
+                                                    document):
+    path = write(tmp_path, "k3.txt", TRIANGLE)
+    pair = write(tmp_path, "pair.json", document)
+    assert cli.main(["lift", path, "--n", "3", "--eigenpair", pair]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: eigenpair file must hold finite numbers")
+
+
+def test_exact_is_an_invariants_option_only(tmp_path, capsys):
+    path = write(tmp_path, "k3.txt", TRIANGLE)
+    for command in ("spectrum", "verify", "transform"):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, path, "--n", "2", "--exact"])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
+
+
 def test_parse_failures_exit_one(tmp_path, capsys):
     missing = str(tmp_path / "nope.txt")
     assert cli.main(["spectrum", missing, "--n", "2"]) == 1

@@ -63,8 +63,9 @@ def run_cases(command, fmt, gens, directory):
     return out
 
 
-@pytest.mark.parametrize("command, fmt, gens", CASES,
-                         ids=[case_prefix(c, f).strip() for c, f, _ in CASES])
+@pytest.mark.parametrize("command, fmt, gens", CASES, ids=[
+    "-".join(word.lstrip("-") for word in case_prefix(c, f).split())
+    for c, f, _ in CASES])
 def test_stdout_matches_golden(command, fmt, gens, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     want = {key: value for key, value in golden["cases"].items()

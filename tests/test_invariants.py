@@ -5,7 +5,9 @@ import pytest
 
 from ngonspec import graphs, invariants, oracle, spectrum
 
-from conftest import complete_graph, cycle_graph, petersen_graph
+from conftest import (complete_graph, cycle_graph,
+                      faddeev_leverrier_invariants, petersen_graph,
+                      random_connected_graph)
 
 
 def test_from_spectrum_triangle():
@@ -46,6 +48,22 @@ def test_exact_invariants_match_float_route():
     assert abs(report.kirchhoff_multiplicative - kf) < 1e-9 * kf
     assert abs(report.kemeny - kemeny) < 1e-9 * kemeny
     assert trees == 2000 == oracle.matrix_tree_count(pet)
+
+
+def test_exact_invariants_match_faddeev_leverrier(corpus):
+    for graph in corpus.values():
+        assert invariants.exact_invariants(graph) \
+            == faddeev_leverrier_invariants(graph)
+
+
+@pytest.mark.parametrize("count, extra", [(12, 9), (20, 5), (30, 31),
+                                          (40, 20)])
+def test_exact_invariants_match_faddeev_leverrier_on_random_bases(count,
+                                                                  extra):
+    graph = random_connected_graph(random.Random(count), count, extra)
+    got = invariants.exact_invariants(graph)
+    assert got == faddeev_leverrier_invariants(graph)
+    assert got[2] == oracle.matrix_tree_count(graph)
 
 
 def test_single_step_closed_forms():

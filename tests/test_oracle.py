@@ -1,7 +1,11 @@
+import ast
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +198,99 @@ def test_matrix_tree_drop_choice_on_a_large_graph():
     counts = {oracle.matrix_tree_count(grown, drop=d)
               for d in (0, 1, 57, grown.vertex_count - 1)}
     assert len(counts) == 1
+
+
+def adjugate(rows):
+    """adj(A)[i][j] = (-1)**(i+j) det(A without row j and column i)."""
+    size = len(rows)
+    return [[(-1) ** (i + j) * bareiss_det(
+        [r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+        for j in range(size)] for i in range(size)]
+
+
+@PROPERTY
+@given(rows=SQUARE_MATRICES, width=st.integers(0, 3), data=st.data())
+def test_eliminate_mod_gives_det_and_adjugate_times_rhs(rows, width, data):
+    size = len(rows)
+    rhs = data.draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=width, max_size=width),
+        min_size=size, max_size=size))
+    p = oracle._prime(0)
+    det, adj_rhs = oracle._eliminate_mod(
+        np.array(rows, dtype=np.int64).reshape(size, size),
+        np.array(rhs, dtype=np.int64).reshape(size, width), p)
+    assert det == bareiss_det([list(r) for r in rows]) % p
+    if not det:
+        assert adj_rhs is None
+        return
+    adj = adjugate([list(r) for r in rows])
+    assert adj_rhs.tolist() == [
+        [sum(adj[i][k] * rhs[k][j] for k in range(size)) % p
+         for j in range(width)] for i in range(size)]
+
+
+def test_eliminate_mod_with_a_residue_of_zero():
+    # det = -2 * first: zero mod the first prime, which gives no adjugate.
+    first, second = oracle._prime(0), oracle._prime(1)
+    mat = np.array([[3 * first, 17], [first, 5]], dtype=np.int64)
+    identity = np.eye(2, dtype=np.int64)
+    assert oracle._eliminate_mod(mat, identity, first) == (0, None)
+    det, adj = oracle._eliminate_mod(mat, identity, second)
+    assert det == -2 * first % second
+    assert adj.tolist() == [[5, second - 17],
+                            [(-first) % second, 3 * first % second]]
+
+
+def test_kirchhoff_skips_primes_that_divide_the_tree_count(monkeypatch):
+    # The Petersen graph has 2000 = 2**4 * 5**3 spanning trees. With 5 put
+    # first in the prime list, the first elimination has a zero residue.
+    primes = [5] + [oracle._prime(i) for i in range(4)]
+    monkeypatch.setattr(oracle, "_PRIMES", primes)
+    seen = []
+    kernel = oracle._eliminate_mod
+
+    def spy(mat, rhs, p):
+        det, adj = kernel(mat, rhs, p)
+        seen.append((p, det))
+        return det, adj
+
+    monkeypatch.setattr(oracle, "_eliminate_mod", spy)
+    assert oracle.kirchhoff_tree_count(petersen_graph()) \
+        == (Fraction(297), 2000)
+    assert seen[0] == (5, 0)
+    assert [p for p, _ in seen[1:]] == primes[1:len(seen)]
+
+
+def test_kirchhoff_tree_count_agrees_with_the_tree_count(corpus):
+    cases = list(corpus.values()) + [
+        random_connected_graph(random.Random(count), count, count)
+        for count in (60, 100)]
+    for graph in cases:
+        kirchhoff, trees = oracle.kirchhoff_tree_count(graph)
+        assert trees == oracle.matrix_tree_count(graph)
+        assert isinstance(kirchhoff, Fraction) and kirchhoff > 0
+
+
+def test_kirchhoff_tree_count_guards():
+    with pytest.raises(graphs.CapExceededError,
+                       match="exact spanning-tree count needs 401 vertices"):
+        oracle.kirchhoff_tree_count(cycle_graph(oracle.TREE_COUNT_CAP + 1))
+    with pytest.raises(graphs.GraphError):
+        oracle.kirchhoff_tree_count(graphs.make_graph(4, [(0, 1), (2, 3)]))
+
+
+def test_oracle_imports_only_graphs_from_the_package():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] == "ngonspec":
+                internal.add(module)
+        elif isinstance(node, ast.Import):
+            internal.update(alias.name for alias in node.names
+                            if alias.name.split(".")[0] == "ngonspec")
+    assert internal == {".graphs"}
 
 
 def test_compare_spectra():
