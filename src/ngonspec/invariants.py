@@ -52,7 +52,8 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
     zero_mult = sum(spec.multiplicities[zero].tolist())
     if zero_mult != 1:
         raise ValueError(f"0 must have multiplicity 1, found {zero_mult}")
-    reciprocal = log_product = 0.0
+    reciprocal = 0.0
+    log_product = 0.0
     for value, mult in zip(spec.values[~zero].tolist(),
                            spec.multiplicities[~zero].tolist()):
         reciprocal += mult / value

@@ -4,9 +4,9 @@ golden_stdout.json holds the exit code and the sha256 digest of stdout
 for every conftest corpus graph with n in 2..7: `spectrum`, `invariants`
 and `invariants --exact` in both output formats with g in 0..2, `verify`
 in both formats with g in 0..1, and `transform` with g in 0..2. Base
-eigenvalues come from
-LAPACK, so the digests belong to the Python and numpy versions recorded
-with them. After a deliberate output change, record them again with
+eigenvalues come from LAPACK, so the digests belong to the Python and
+numpy versions recorded with them. After a deliberate output change,
+record them again with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -30,7 +30,9 @@ from conftest import build_corpus
 GOLDEN = Path(__file__).with_name("golden_stdout.json")
 FORMATS = ("json", "csv")
 # (command with its flags, output formats, generations); transform ignores
-# the output format, so its keys carry none.
+# the output format, so its keys carry none. verify stops at g = 1: g = 2
+# builds and eigensolves graphs of up to 820 vertices, and one format of
+# it takes about 10 s against 0.7 s for g in 0..1.
 GROUPS = ((("spectrum",), FORMATS, 3),
           (("invariants",), FORMATS, 3),
           (("invariants", "--exact"), FORMATS, 3),
