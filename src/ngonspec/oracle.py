@@ -18,7 +18,6 @@ bound by 2 E**2 N. Entries stay below order * p**2 < 2**63, so orders of
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,15 +148,18 @@ def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, p: int):
     return det % p, x * det % p
 
 
-def _crt(residues, bound: int, count: int = 1) -> list[int]:
-    """count integers in [-bound, bound] from (p, digits) residue pairs.
+def _crt(digits_of, bound: int, count: int = 1) -> list[int]:
+    """count integers in [-bound, bound] from their residues mod primes.
 
-    Primes are read until their product exceeds 2 * bound, and Garner's
+    digits_of(p) gives the count residues mod p, or None to skip p. Primes
+    are taken until their product exceeds 2 * bound, and Garner's
     mixed-radix step joins the digits.
     """
-    values, modulus, residues = [0] * count, 1, iter(residues)
+    values, modulus, index = [0] * count, 1, 0
     while modulus <= 2 * bound:
-        p, digits = next(residues)
+        p, index = _prime(index), index + 1
+        if (digits := digits_of(p)) is None:
+            continue
         inverse = pow(modulus, -1, p)
         values = [v + modulus * ((r - v) * inverse % p)
                   for v, r in zip(values, digits)]
@@ -168,8 +170,7 @@ def _crt(residues, bound: int, count: int = 1) -> list[int]:
 def _modular_det(mat: np.ndarray, bound: int) -> int:
     """Exact det of an integer matrix with |det| <= bound, via CRT."""
     mat = np.asarray(mat, dtype=np.int64)
-    (det,) = _crt(((p, _eliminate_mod(mat, mat[:, :0], p)[:1])
-                   for p in map(_prime, itertools.count())), bound)
+    (det,) = _crt(lambda p: _eliminate_mod(mat, mat[:, :0], p)[:1], bound)
     return det
 
 
@@ -202,8 +203,7 @@ def matrix_tree_count(graph: Graph, drop: int = 0,
     return _modular_det(minor, math.prod(kept))
 
 
-def kirchhoff_tree_count(graph: Graph,
-                         cap: int = TREE_COUNT_CAP) -> tuple[Fraction, int]:
+def kirchhoff_tree_count(graph: Graph) -> tuple[Fraction, int]:
     """Exact multiplicative degree-Kirchhoff index Kf and tree count tau.
 
     With vertex 0 dropped, adj = adj(L0) = tau * L0^{-1}, and the resistance
@@ -212,19 +212,18 @@ def kirchhoff_tree_count(graph: Graph,
     eliminates [L0 | I] once; primes dividing tau are skipped. Resistances
     are below N, so the CRT bound is 2 E**2 N times Hadamard's bound on tau.
     """
-    minor, kept = _reduced_laplacian(graph, 0, cap)
+    minor, kept = _reduced_laplacian(graph, 0, TREE_COUNT_CAP)
     edges, degrees = len(graph.edges), np.asarray(kept, dtype=np.int64)
     identity = np.eye(len(kept), dtype=np.int64)
 
-    def residues():
-        for p in map(_prime, itertools.count()):
-            tau, adj = _eliminate_mod(minor, identity, p)
-            if tau:
-                yield p, (tau, (2 * edges * int(degrees @ adj.diagonal())
-                                - int(degrees @ (adj @ degrees % p))) % p)
+    def digits_of(p):
+        tau, adj = _eliminate_mod(minor, identity, p)
+        if tau:  # else None: p divides tau and is skipped
+            return tau, (2 * edges * int(degrees @ adj.diagonal())
+                         - int(degrees @ (adj @ degrees % p))) % p
 
     bound = math.prod(kept) * 2 * edges * edges * graph.vertex_count
-    tau, form = _crt(residues(), bound, 2)
+    tau, form = _crt(digits_of, bound, 2)
     return Fraction(form, tau), tau
 
 

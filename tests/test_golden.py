@@ -5,8 +5,11 @@ for every conftest corpus graph with n in 2..7: `spectrum`, `invariants`
 and `invariants --exact` in both output formats with g in 0..2, `verify`
 in both formats with g in 0..1, and `transform` with g in 0..2. Base
 eigenvalues come from LAPACK, so the digests belong to the Python and
-numpy versions recorded with them. After a deliberate output change,
-record them again with
+numpy versions recorded with them. verify's `max_abs_deviation` is
+rounding noise between two eigensolves, which also moves with the CPU
+and the BLAS thread count, so its value is masked before hashing; the
+oracle and acceptance tests bound it by tolerance. After a deliberate
+output change, record the digests again with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +19,7 @@ import hashlib
 import io
 import json
 import platform
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +42,7 @@ GROUPS = ((("spectrum",), FORMATS, 3),
           (("invariants", "--exact"), FORMATS, 3),
           (("verify",), FORMATS, 2),
           (("transform",), (None,), 3))
+DEVIATION = re.compile(r"(max_abs_deviation\W+)[^,\n]+")
 CASES = [(command, fmt, gens) for command, fmts, gens in GROUPS
          for fmt in fmts]
 
@@ -59,7 +64,10 @@ def run_cases(command, fmt, gens, directory):
                 with contextlib.redirect_stdout(buffer):
                     code = cli.main([command[0], str(path), *command[1:],
                                      "--n", str(n), "--g", str(g), *flags])
-                digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+                text = buffer.getvalue()
+                if command[0] == "verify":
+                    text = DEVIATION.sub(r"\1*", text)
+                digest = hashlib.sha256(text.encode()).hexdigest()
                 key = f"{case_prefix(command, fmt)}{name} n={n} g={g}"
                 out[key] = [code, digest]
     return out
