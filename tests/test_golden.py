@@ -3,13 +3,17 @@
 golden_stdout.json holds the exit code and the sha256 digest of stdout
 for every conftest corpus graph with n in 2..7: `spectrum`, `invariants`
 and `invariants --exact` in both output formats with g in 0..2, `verify`
-in both formats with g in 0..1, and `transform` with g in 0..2. Base
-eigenvalues come from LAPACK, so the digests belong to the Python and
-numpy versions recorded with them. verify's `max_abs_deviation` is
-rounding noise between two eigensolves, which also moves with the CPU
-and the BLAS thread count, so its value is masked before hashing; the
-oracle and acceptance tests bound it by tolerance. After a deliberate
-output change, record the digests again with
+in both formats with g in 0..1, `transform` with g in 0..2, and `lift`
+in both formats for every simple eigenvalue of the base. lift's
+eigenpairs come from numpy.linalg.eigh with each vector's sign fixed and
+every number rounded to 12 decimals, so they do not depend on the LAPACK
+build. Base eigenvalues come from LAPACK, so the digests belong to the
+Python and numpy versions recorded with them. verify's
+`max_abs_deviation` and lift's `residual` are rounding noise, which also
+moves with the CPU and the BLAS thread count, so their values are masked
+before hashing; the oracle, CLI and acceptance tests bound them by
+tolerance. After a deliberate output change, record the digests again
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -27,23 +31,60 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ngonspec import cli
+from ngonspec import cli, oracle
 
 from conftest import build_corpus
 
 GOLDEN = Path(__file__).with_name("golden_stdout.json")
 FORMATS = ("json", "csv")
-# (command with its flags, output formats, generations); transform ignores
+
+
+def generations(count):
+    """Variants g = 0..count-1 of a case: (key suffix, flags) pairs."""
+    return lambda name, graph, directory: [
+        (f"g={g}", ["--g", str(g)]) for g in range(count)]
+
+
+def eigenpairs(name, graph, directory):
+    """One variant per simple base eigenvalue k, written as an eigenpair file.
+
+    Each vector's first entry above 1e-6 in size is made positive, and
+    every number is rounded to 12 decimals (the vector has unit norm), so
+    the files hold the same bytes under any LAPACK build.
+    """
+    values, vectors = np.linalg.eigh(oracle.normalized_laplacian(graph).entries)
+    gaps = np.diff(values)
+    out = []
+    for k, value in enumerate(values.tolist()):
+        if min(gaps[max(k - 1, 0):k + 1]) < 1e-6:
+            continue
+        vector = vectors[:, k]
+        vector = vector * np.sign(vector[np.argmax(np.abs(vector) > 1e-6)])
+        path = directory / f"{name}-pair{k}.json"
+        path.write_text(json.dumps({
+            "value": round(value, 12) + 0.0,
+            "vector": (np.round(vector, 12) + 0.0).tolist()}))
+        out.append((f"k={k}", ["--eigenpair", str(path)]))
+    return out
+
+
+# (command with its flags, output formats, variants); transform ignores
 # the output format, so its keys carry none. verify stops at g = 1: g = 2
 # builds and eigensolves graphs of up to 820 vertices, and one format of
-# it takes about 10 s against 0.7 s for g in 0..1.
-GROUPS = ((("spectrum",), FORMATS, 3),
-          (("invariants",), FORMATS, 3),
-          (("invariants", "--exact"), FORMATS, 3),
-          (("verify",), FORMATS, 2),
-          (("transform",), (None,), 3))
+# it takes about 10 s against 0.7 s for g in 0..1. lift always grows one
+# step, so its variants are eigenpairs instead of generations.
+GROUPS = ((("spectrum",), FORMATS, generations(3)),
+          (("invariants",), FORMATS, generations(3)),
+          (("invariants", "--exact"), FORMATS, generations(3)),
+          (("verify",), FORMATS, generations(2)),
+          (("transform",), (None,), generations(3)),
+          (("lift",), FORMATS, eigenpairs))
+# Rounding noise masked before hashing, by subcommand and format.
 DEVIATION = re.compile(r"(max_abs_deviation\W+)[^,\n]+")
-CASES = [(command, fmt, gens) for command, fmts, gens in GROUPS
+MASKS = {("verify", "json"): DEVIATION, ("verify", "csv"): DEVIATION,
+         ("lift", "json"): re.compile(r'("residual": )[^,\n]+'),
+         ("lift", "csv"): re.compile(r"(?m)^([^,\n]*,)[^,\n]*")}
+CASES = [(command, fmt, variants) for command, fmts, variants in GROUPS
          for fmt in fmts]
 
 
@@ -51,36 +92,37 @@ def case_prefix(command, fmt):
     return " ".join(command + ((fmt,) if fmt else ())) + " "
 
 
-def run_cases(command, fmt, gens, directory):
-    """{case key: [exit code, stdout sha256]} over the corpus, n and g."""
+def run_cases(command, fmt, variants, directory):
+    """{case key: [exit code, stdout sha256]} over the corpus, n and variant."""
     out = {}
     flags = ["--output-format", fmt] if fmt else []
+    mask = MASKS.get((command[0], fmt))
     for name, graph in build_corpus().items():
         path = directory / f"{name}.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in graph.edges))
-        for n in range(2, 8):
-            for g in range(gens):
+        for label, extra in variants(name, graph, directory):
+            for n in range(2, 8):
                 buffer = io.StringIO()
                 with contextlib.redirect_stdout(buffer):
                     code = cli.main([command[0], str(path), *command[1:],
-                                     "--n", str(n), "--g", str(g), *flags])
+                                     "--n", str(n), *extra, *flags])
                 text = buffer.getvalue()
-                if command[0] == "verify":
-                    text = DEVIATION.sub(r"\1*", text)
+                if mask is not None:
+                    text = mask.sub(r"\1*", text)
                 digest = hashlib.sha256(text.encode()).hexdigest()
-                key = f"{case_prefix(command, fmt)}{name} n={n} g={g}"
+                key = f"{case_prefix(command, fmt)}{name} n={n} {label}"
                 out[key] = [code, digest]
     return out
 
 
-@pytest.mark.parametrize("command, fmt, gens", CASES, ids=[
+@pytest.mark.parametrize("command, fmt, variants", CASES, ids=[
     "-".join(word.lstrip("-") for word in case_prefix(c, f).split())
     for c, f, _ in CASES])
-def test_stdout_matches_golden(command, fmt, gens, tmp_path):
+def test_stdout_matches_golden(command, fmt, variants, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     want = {key: value for key, value in golden["cases"].items()
             if key.startswith(case_prefix(command, fmt))}
-    got = run_cases(command, fmt, gens, tmp_path)
+    got = run_cases(command, fmt, variants, tmp_path)
     assert got.keys() == want.keys()
     changed = sorted(key for key in want if got[key] != want[key])
     assert not changed, (
@@ -92,8 +134,8 @@ def test_stdout_matches_golden(command, fmt, gens, tmp_path):
 if __name__ == "__main__":
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for command, fmt, gens in CASES:
-            cases.update(run_cases(command, fmt, gens, Path(tmp)))
+        for command, fmt, variants in CASES:
+            cases.update(run_cases(command, fmt, variants, Path(tmp)))
     rows = ",\n".join(f"  {json.dumps(key)}: {json.dumps(cases[key])}"
                       for key in sorted(cases))
     GOLDEN.write_text(
