@@ -5,6 +5,9 @@ of the grown graph from the base spectrum alone), invariants (closed-form
 chain across generations), verify (cross-check against the brute-force
 oracle), lift (lift a base eigenvector one growth step).
 
+Every subcommand but transform returns (exit code, JSON document, row
+table), and one writer prints the document as JSON or the table as CSV.
+
 Exit codes: 0 success, 1 parse or validation failure, 2 size cap
 exceeded, 3 verification mismatch. Output is deterministic: fixed key
 order and 17-significant-digit floats, so identical runs produce
@@ -18,34 +21,27 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import graphs, invariants, oracle, roots, spectrum
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str
-    n: int
-    g: int
-    tolerance: float = 1e-8
-    output_format: str = "json"
-    explicit_cap: int = graphs.DEFAULT_EXPLICIT_CAP
-    exact_mode: bool = False
-    eigenpair_path: str | None = None
+_ENCODE = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+class Table(NamedTuple):
+    """Rows as named columns of equal length."""
+
+    header: tuple
+    columns: list
 
 
-def _json_text(value, indent: int = 0) -> str:
-    """Deterministic JSON with .17g floats; non-finite floats become null."""
+_NESTED = (dict, list, tuple)  # a Table is a tuple
+
+
+def _json_scalar(value) -> str:
     if value is None:
         return "null"
     if value is True:
@@ -53,37 +49,82 @@ def _json_text(value, indent: int = 0) -> str:
     if value is False:
         return "false"
     if isinstance(value, float):
-        return _fmt_float(value) if math.isfinite(value) else "null"
+        return format(value, ".17g") if math.isfinite(value) else "null"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+    return _ENCODE(str(value))
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _json_column(cells) -> list[str]:
+    """JSON text of one column; a float or str column skips per-cell dispatch."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return [format(v, ".17g") if math.isfinite(v) else "null"
+                for v in cells]
+    if kinds == {str}:
+        return list(map(_ENCODE, cells))
+    return list(map(_json_scalar, cells))
+
+
+def _csv_column(cells):
+    """CSV cells of one column; csv.writer prints str and int cells as str."""
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return [format(v, ".17g") for v in cells]
+    if kinds <= {str, int}:
+        return cells
+    return list(map(_csv_cell, cells))
+
+
+def _json_text(value, indent: int = 0) -> str:
+    """Deterministic JSON with .17g floats; non-finite floats become null.
+
+    A dict of scalars and each row of a Table take one line.
+    """
+    if not isinstance(value, _NESTED):
+        return _json_scalar(value)
+    pad = "  " * (indent + 1)
+    close = "\n" + "  " * indent
+    if isinstance(value, Table):
+        row = (pad + "{{" + ", ".join(_ENCODE(key) + ": {}"
+                                      for key in value.header) + "}}").format
+        cells = map(_json_column, value.columns)
+        return "[\n" + ",\n".join(map(row, *cells)) + close + "]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = list(value.items())
-        scalars = all(not isinstance(v, (dict, list, tuple)) for _, v in items)
-        if scalars:
-            inner = ", ".join(f"{json.dumps(k)}: {_json_text(v)}"
-                              for k, v in items)
-            return "{" + inner + "}"
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(f"{pad}{json.dumps(k)}: {_json_text(v, indent + 1)}"
-                           for k, v in items)
-        return "{\n" + inner + "\n" + "  " * indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(f"{pad}{_json_text(v, indent + 1)}" for v in value)
-        return "[\n" + inner + "\n" + "  " * indent + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+        if not any(isinstance(v, _NESTED) for v in value.values()):
+            return "{" + ", ".join(f"{_ENCODE(k)}: {_json_scalar(v)}"
+                                   for k, v in value.items()) + "}"
+        return "{\n" + ",\n".join(
+            f"{pad}{_ENCODE(k)}: {_json_text(v, indent + 1)}"
+            for k, v in value.items()) + close + "}"
+    if not value:
+        return "[]"
+    cells = ([_json_text(v, indent + 1) for v in value]
+             if any(isinstance(v, _NESTED) for v in value)
+             else _json_column(value))
+    return "[\n" + pad + (",\n" + pad).join(cells) + close + "]"
 
 
-def _print_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write(output_format: str, document, table: Table | None) -> None:
+    """Print a subcommand's result: the document as JSON or the table as CSV."""
+    if output_format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(table.header)
+        writer.writerows(zip(*map(_csv_column, table.columns)))
+    else:
+        print(_json_text(document))
 
 
 def _meta(n: int, g: int, ctx: spectrum.SpectrumContext) -> dict:
@@ -91,159 +132,95 @@ def _meta(n: int, g: int, ctx: spectrum.SpectrumContext) -> dict:
             "bipartite": ctx.bipartite}
 
 
-def _inv_value(x):
-    """Exact values render as strings, floats stay numbers."""
-    if isinstance(x, Fraction):
-        return str(x)
-    return float(x)
-
-
-def _cmd_transform(cfg: RunConfig, graph: graphs.Graph) -> int:
-    grown = graphs.iterate_transform(graph, cfg.n, cfg.g, cfg.explicit_cap)
+def _cmd_transform(ns, graph: graphs.Graph):
+    grown = graphs.iterate_transform(graph, ns.n, ns.g, ns.explicit_cap)
     for u, v in grown.edges:
         print(f"{u} {v}")
-    return 0
+    return 0, None, None
 
 
-def _cmd_spectrum(cfg: RunConfig, graph: graphs.Graph) -> int:
+def _cmd_spectrum(ns, graph: graphs.Graph):
     spec, ctx = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
-                                          cfg.n, cfg.g)
-    values = spec.values.tolist()
-    mults = map(str, spec.multiplicities.tolist())
-    labels = spec.source_labels()
-    if cfg.output_format == "csv":
-        _print_csv(("value", "multiplicity", "source"),
-                   zip([format(v, ".17g") for v in values], mults, labels))
-        return 0
-    values = [format(v, ".17g") if math.isfinite(v) else "null"
-              for v in values]
-    row = '    {{"value": {}, "multiplicity": "{}", "source": "{}"}}'.format
-    rows = ",\n".join(map(row, values, mults, labels))
-    print('{\n  "meta": ' + _json_text(_meta(cfg.n, cfg.g, ctx))
-          + ',\n  "spectrum": [\n' + rows + "\n  ]\n}")
-    return 0
+                                          ns.n, ns.g)
+    table = Table(("value", "multiplicity", "source"), [
+        spec.values.tolist(), list(map(str, spec.multiplicities.tolist())),
+        spec.source_labels()])
+    return 0, {"meta": _meta(ns.n, ns.g, ctx), "spectrum": table}, table
 
 
-def _cmd_invariants(cfg: RunConfig, graph: graphs.Graph) -> int:
+def _cmd_invariants(ns, graph: graphs.Graph):
     n0, e0 = graph.vertex_count, len(graph.edges)
     base_spec, base_ctx = spectrum.base_spectrum(graph)
     product0 = invariants.degree_product(graph)
-    if cfg.exact_mode:
+    if ns.exact:
         kf0, k0, nst0 = invariants.exact_invariants(graph)
     else:
         nst0 = oracle.matrix_tree_count(graph)
         base = invariants.invariants_from_spectrum(base_spec, base_ctx,
                                                    product0)
         kf0, k0 = base.kirchhoff_multiplicative, base.kemeny
-    rows = []
+    kf_t, k_t, nst_t = kf0, k0, nst0
+    rows = [(0, invariants.METHOD_SPECTRUM, kf0, k0, str(nst0))]
     spec_t, ctx_t = base_spec, base_ctx
-    spectrum_side = True
-    final = None
-    for t in range(cfg.g + 1):
-        if t == 0:
-            kf_t, k_t, nst_t = kf0, k0, nst0
-            method = invariants.METHOD_SPECTRUM
-        else:
-            kf_t = invariants.kirchhoff_closed(kf0, n0, e0, cfg.n, t)
-            k_t = invariants.kemeny_closed(k0, n0, e0, cfg.n, t)
-            nst_t = invariants.spanning_trees_closed(nst0, n0, e0, cfg.n, t)
-            method = invariants.METHOD_CLOSED
-        rows.append({"generation": t, "method": method,
-                     "kirchhoff": _inv_value(kf_t), "kemeny": _inv_value(k_t),
-                     "spanning_trees": str(nst_t)})
-        final = (kf_t, k_t, nst_t)
-        if t == 0:
+    for t in range(1, ns.g + 1):
+        kf_t = invariants.kirchhoff_closed(kf0, n0, e0, ns.n, t)
+        k_t = invariants.kemeny_closed(k0, n0, e0, ns.n, t)
+        nst_t = invariants.spanning_trees_closed(nst0, n0, e0, ns.n, t)
+        rows.append((t, invariants.METHOD_CLOSED, kf_t, k_t, str(nst_t)))
+        # vertex counts grow with t, so once past the cap they stay past it
+        if graphs.predict_counts(n0, e0, ns.n, t).vertices > ns.explicit_cap:
             continue
-        counts = graphs.predict_counts(n0, e0, cfg.n, t)
-        if spectrum_side and counts.vertices <= cfg.explicit_cap:
-            spec_t, ctx_t = spectrum.transform_spectrum(spec_t, ctx_t, cfg.n)
-            report = invariants.invariants_from_spectrum(
-                spec_t, ctx_t,
-                invariants.degree_product_closed(product0, n0, e0, cfg.n, t),
-                generation=t)
-            rows.append({
-                "generation": t, "method": report.method,
-                "kirchhoff": report.kirchhoff_multiplicative,
-                "kemeny": report.kemeny,
-                "spanning_trees":
-                    None if report.spanning_trees is None
-                    else str(report.spanning_trees),
-            })
-        else:
-            spectrum_side = False
-    if cfg.output_format == "csv":
-        csv_rows = [(r["generation"], r["method"],
-                     r["kirchhoff"] if isinstance(r["kirchhoff"], str)
-                     else _fmt_float(r["kirchhoff"]),
-                     r["kemeny"] if isinstance(r["kemeny"], str)
-                     else _fmt_float(r["kemeny"]),
-                     "" if r["spanning_trees"] is None
-                     else r["spanning_trees"]) for r in rows]
-        _print_csv(("generation", "method", "kirchhoff", "kemeny",
-                    "spanning_trees"), csv_rows)
-        return 0
-    counts = graphs.predict_counts(n0, e0, cfg.n, cfg.g)
+        spec_t, ctx_t = spectrum.transform_spectrum(spec_t, ctx_t, ns.n)
+        report = invariants.invariants_from_spectrum(
+            spec_t, ctx_t,
+            invariants.degree_product_closed(product0, n0, e0, ns.n, t),
+            generation=t)
+        rows.append((t, report.method, report.kirchhoff_multiplicative,
+                     report.kemeny, None if report.spanning_trees is None
+                     else str(report.spanning_trees)))
+    table = Table(("generation", "method", "kirchhoff", "kemeny",
+                   "spanning_trees"), list(zip(*rows)))
+    counts = graphs.predict_counts(n0, e0, ns.n, ns.g)
     ctx_g = spectrum.SpectrumContext(
         counts.vertices, counts.edges,
-        graph.bipartite and (cfg.n % 2 == 1 or cfg.g == 0))
+        graph.bipartite and (ns.n % 2 == 1 or ns.g == 0))
     doc = {
-        "meta": _meta(cfg.n, cfg.g, ctx_g),
-        "invariants": {
-            "kirchhoff": _inv_value(final[0]),
-            "kemeny": _inv_value(final[1]),
-            "spanning_trees": str(final[2]),
-            "generations": rows,
-        },
+        "meta": _meta(ns.n, ns.g, ctx_g),
+        "invariants": {"kirchhoff": kf_t, "kemeny": k_t,
+                       "spanning_trees": str(nst_t), "generations": table},
     }
-    print(_json_text(doc))
-    return 0
+    return 0, doc, table
 
 
-def _cmd_verify(cfg: RunConfig, graph: graphs.Graph) -> int:
-    explicit = graphs.iterate_transform(graph, cfg.n, cfg.g, cfg.explicit_cap)
+def _cmd_verify(ns, graph: graphs.Graph):
+    explicit = graphs.iterate_transform(graph, ns.n, ns.g, ns.explicit_cap)
     spec, ctx = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
-                                          cfg.n, cfg.g)
+                                          ns.n, ns.g)
     numeric = oracle.eig_sym(oracle.normalized_laplacian(explicit))
-    report = oracle.compare_spectra(spec.expanded(), numeric, cfg.tolerance)
+    report = oracle.compare_spectra(spec.expanded(), numeric, ns.tolerance)
+    checks = {"matched": report.matched,
+              "max_abs_deviation": report.max_abs_deviation,
+              "size_theory": report.size_a, "size_oracle": report.size_b}
     trees = None
     if explicit.vertex_count <= oracle.TREE_COUNT_CAP:
         direct = oracle.matrix_tree_count(explicit)
-        base = oracle.matrix_tree_count(graph)
-        if cfg.g >= 1:
+        closed = oracle.matrix_tree_count(graph)
+        if ns.g >= 1:
             closed = invariants.spanning_trees_closed(
-                base, graph.vertex_count, len(graph.edges), cfg.n, cfg.g)
-        else:
-            closed = base
+                closed, graph.vertex_count, len(graph.edges), ns.n, ns.g)
         trees = {"closed_form": str(closed), "matrix_tree": str(direct),
                  "equal": closed == direct}
     ok = report.matched and (trees is None or trees["equal"])
-    if cfg.output_format == "csv":
-        rows = [("matched", str(report.matched).lower()),
-                ("max_abs_deviation", _fmt_float(report.max_abs_deviation)),
-                ("size_theory", str(report.size_a)),
-                ("size_oracle", str(report.size_b))]
-        if trees is not None:
-            rows += [("spanning_trees_closed_form", trees["closed_form"]),
-                     ("spanning_trees_matrix_tree", trees["matrix_tree"]),
-                     ("spanning_trees_equal", str(trees["equal"]).lower())]
-        _print_csv(("key", "value"), rows)
-    else:
-        doc = {
-            "meta": _meta(cfg.n, cfg.g, ctx),
-            "spectrum": {
-                "matched": report.matched,
-                "max_abs_deviation": report.max_abs_deviation,
-                "size_theory": report.size_a,
-                "size_oracle": report.size_b,
-            },
-            "spanning_trees": trees,
-        }
-        print(_json_text(doc))
-    return 0 if ok else 3
+    doc = {"meta": _meta(ns.n, ns.g, ctx), "spectrum": checks,
+           "spanning_trees": trees}
+    rows = [*checks.items(), *(("spanning_trees_" + key, value)
+                               for key, value in (trees or {}).items())]
+    table = Table(("key", "value"), list(zip(*rows)))
+    return 0 if ok else 3, doc, table
 
 
-def _cmd_lift(cfg: RunConfig, graph: graphs.Graph) -> int:
-    with open(cfg.eigenpair_path) as handle:
+def _cmd_lift(ns, graph: graphs.Graph):
+    with open(ns.eigenpair) as handle:
         pair = json.load(handle, parse_int=float)
     if not (isinstance(pair, dict) and isinstance(pair.get("vector"), list)
             and all(isinstance(x, float) and math.isfinite(x)
@@ -251,33 +228,24 @@ def _cmd_lift(cfg: RunConfig, graph: graphs.Graph) -> int:
         raise ValueError('eigenpair file must hold finite numbers as '
                          '{"value": number, "vector": [number, ...]}')
     lam, vec = pair["value"], pair["vector"]
-    grown = graphs.iterate_transform(graph, cfg.n, 1, cfg.explicit_cap)
+    grown = graphs.iterate_transform(graph, ns.n, 1, ns.explicit_cap)
     lifts = []
-    worst = 0.0
-    for mu in roots.solve_lambda_many(cfg.n, [lam])[0].tolist():
-        lifted = spectrum.lift_eigenvector(graph, cfg.n, lam, vec, mu,
-                                           tol=cfg.tolerance)
+    for mu in roots.solve_lambda_many(ns.n, [lam])[0].tolist():
+        lifted = spectrum.lift_eigenvector(graph, ns.n, lam, vec, mu,
+                                           tol=ns.tolerance)
         residual = float(np.linalg.norm(
             oracle.laplacian_matvec(grown, lifted) - mu * lifted)
             / np.linalg.norm(lifted))
-        worst = max(worst, residual)
         lifts.append({"mu": mu, "residual": residual,
-                      "vector": [float(x) for x in lifted]})
-    if cfg.output_format == "csv":
-        rows = []
-        for item in lifts:
-            for k, x in enumerate(item["vector"]):
-                rows.append((_fmt_float(item["mu"]),
-                             _fmt_float(item["residual"]), str(k),
-                             _fmt_float(x)))
-        _print_csv(("mu", "residual", "index", "component"), rows)
-    else:
-        ctx = spectrum.SpectrumContext(grown.vertex_count, len(grown.edges),
-                                       grown.bipartite)
-        doc = {"meta": _meta(cfg.n, 1, ctx), "eigenvalue": lam,
-               "lifts": lifts}
-        print(_json_text(doc))
-    return 0 if worst <= cfg.tolerance else 3
+                      "vector": lifted.tolist()})
+    ctx = spectrum.SpectrumContext(grown.vertex_count, len(grown.edges),
+                                   grown.bipartite)
+    doc = {"meta": _meta(ns.n, 1, ctx), "eigenvalue": lam, "lifts": lifts}
+    rows = [(item["mu"], item["residual"], k, x)
+            for item in lifts for k, x in enumerate(item["vector"])]
+    table = Table(("mu", "residual", "index", "component"), list(zip(*rows)))
+    worst = max((item["residual"] for item in lifts), default=0.0)
+    return 0 if worst <= ns.tolerance else 3, doc, table
 
 
 _COMMANDS = {
@@ -297,7 +265,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def parse_config(argv=None) -> RunConfig:
+def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="edge-list file: 'u v' per line, '#' comments")
     common.add_argument("--n", type=int, required=True,
@@ -334,45 +302,24 @@ def parse_config(argv=None) -> RunConfig:
         parser.error("--n must be at least 2")
     if ns.g < 0:
         parser.error("--g must be nonnegative")
-    if ns.tolerance <= 0:
-        parser.error("--tolerance must be positive")
+    if not 0 < ns.tolerance < math.inf:
+        parser.error("--tolerance must be a positive finite number")
     if ns.explicit_cap < 2:
         parser.error("--explicit-cap must be at least 2")
-    return RunConfig(command=ns.command, input_path=ns.input, n=ns.n, g=ns.g,
-                     tolerance=ns.tolerance, output_format=ns.output_format,
-                     explicit_cap=ns.explicit_cap,
-                     exact_mode=getattr(ns, "exact", False),
-                     eigenpair_path=getattr(ns, "eigenpair", None))
-
-
-def run(config: RunConfig) -> int:
     # counts grow without bound; lift the int-to-str digit guard
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        text = Path(config.input_path).read_text()
-    except OSError as exc:
+        graph = graphs.parse_edge_list(Path(ns.input).read_text())
+        code, document, table = _COMMANDS[ns.command](ns, graph)
+    except (graphs.CapExceededError, graphs.GraphError, ValueError, KeyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        graph = graphs.parse_edge_list(text)
-        return _COMMANDS[config.command](config, graph)
-    except graphs.CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (graphs.GraphError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def main(argv=None) -> int:
-    return run(parse_config(argv))
+        return 2 if isinstance(exc, graphs.CapExceededError) else 1
+    if document is not None:
+        _write(ns.output_format, document, table)
+    return code
 
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

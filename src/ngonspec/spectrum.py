@@ -52,11 +52,6 @@ class SpectrumEntry:
     source: str
     origin: float | None = None  # base eigenvalue behind a lifted entry
 
-    def source_label(self) -> str:
-        if self.source == SOURCE_LIFTED:
-            return f"lifted({self.origin:.17g})"
-        return self.source
-
 
 @dataclass(frozen=True)
 class _EntryView(Sequence):

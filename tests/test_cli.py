@@ -1,7 +1,9 @@
+import ast
 import csv
 import io
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,11 +214,44 @@ def test_parse_failures_exit_one(tmp_path, capsys):
 def test_flag_errors_exit_one(tmp_path, capsys):
     for argv in (["spectrum", "somefile"],         # --n is required
                  ["not-a-command"],
-                 ["spectrum", "somefile", "--n", "1"]):
+                 ["spectrum", "somefile", "--n", "1"],
+                 # nan passed a `<= 0` check and made verify exit 3; inf
+                 # let lift accept a vector that is no eigenvector
+                 ["verify", "somefile", "--n", "2", "--tolerance", "nan"],
+                 ["lift", "somefile", "--n", "3", "--eigenpair", "pair.json",
+                  "--tolerance", "inf"],
+                 ["verify", "somefile", "--n", "2", "--tolerance=-inf"]):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 1
+        if any(arg.startswith("--tolerance") for arg in argv):
+            assert capsys.readouterr().err.endswith(
+                "error: --tolerance must be a positive finite number\n")
         capsys.readouterr()
+
+
+def test_one_writer_prints_results():
+    # Every result reaches stdout through cli._write; only transform prints
+    # its edge list itself.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(node, name):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and ast.unparse(call.func) == name]
+
+    def stdout_prints(node):
+        return [call for call in calls(node, "print")
+                if not any(k.arg == "file" and ast.unparse(k.value)
+                           == "sys.stderr" for k in call.keywords)]
+
+    assert calls(tree, "csv.writer") == calls(functions["_write"],
+                                              "csv.writer")
+    assert len(calls(tree, "csv.writer")) == 1
+    assert stdout_prints(tree) == (stdout_prints(functions["_write"])
+                                   + stdout_prints(functions["_cmd_transform"]))
+    assert "sys.stdout.write" not in ast.unparse(tree)
 
 
 def test_cap_exit_code(tmp_path, capsys):

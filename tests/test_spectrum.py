@@ -41,7 +41,7 @@ def test_transform_triangle_worked_example():
     out, out_ctx = spectrum.transform_spectrum(spec, ctx, 2)
     assert entry_tuples(out) == [(0.0, 1, "zero"), (0.75, 2, "lifted"),
                                  (1.5, 3, "family-plus")]
-    assert out.entries[1].source_label() == "lifted(1.5)"
+    assert out.source_labels()[1] == "lifted(1.5)"
     assert out.merged() == [(0.0, 1), (0.75, 2), (1.5, 3)]
     assert out_ctx == spectrum.SpectrumContext(6, 9, False)
 
