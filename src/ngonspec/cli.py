@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,25 +68,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_column(cells) -> list[str]:
-    """JSON text of one column; a float or str column skips per-cell dispatch."""
+def _json_column(cells):
+    """Lazy JSON text of a column; uniform columns skip per-cell dispatch."""
     kinds = set(map(type, cells))
-    if kinds == {float}:
-        return [format(v, ".17g") if math.isfinite(v) else "null"
-                for v in cells]
+    if kinds == {float} and all(map(math.isfinite, cells)):
+        return map(format, cells, repeat(".17g"))
     if kinds == {str}:
-        return list(map(_ENCODE, cells))
-    return list(map(_json_scalar, cells))
+        return map(_ENCODE, cells)
+    return map(_json_scalar, cells)
 
 
 def _csv_column(cells):
-    """CSV cells of one column; csv.writer prints str and int cells as str."""
+    """Lazy CSV cells of a column; csv.writer prints str and int as str."""
     kinds = set(map(type, cells))
     if kinds == {float}:
-        return [format(v, ".17g") for v in cells]
+        return map(format, cells, repeat(".17g"))
     if kinds <= {str, int}:
         return cells
-    return list(map(_csv_cell, cells))
+    return map(_csv_cell, cells)
 
 
 def _json_text(value, indent: int = 0) -> str:

@@ -209,6 +209,10 @@ def test_parse_failures_exit_one(tmp_path, capsys):
     bad_line = write(tmp_path, "bad.txt", "0 1\n1 x\n")
     assert cli.main(["spectrum", bad_line, "--n", "2"]) == 1
     capsys.readouterr()
+    not_text = tmp_path / "bytes.txt"
+    not_text.write_bytes(b"\xff\xfe")
+    assert cli.main(["spectrum", str(not_text), "--n", "2"]) == 1
+    assert "can't decode" in capsys.readouterr().err
 
 
 def test_flag_errors_exit_one(tmp_path, capsys):

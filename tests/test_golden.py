@@ -4,16 +4,16 @@ golden_stdout.json holds the exit code and the sha256 digest of stdout
 for every conftest corpus graph with n in 2..7: `spectrum`, `invariants`
 and `invariants --exact` in both output formats with g in 0..2, `verify`
 in both formats with g in 0..1, `transform` with g in 0..2, and `lift`
-in both formats for every simple eigenvalue of the base. lift's
-eigenpairs come from numpy.linalg.eigh with each vector's sign fixed and
-every number rounded to 12 decimals, so they do not depend on the LAPACK
-build. Base eigenvalues come from LAPACK, so the digests belong to the
-Python and numpy versions recorded with them. verify's
-`max_abs_deviation` and lift's `residual` are rounding noise, which also
-moves with the CPU and the BLAS thread count, so their values are masked
-before hashing; the oracle, CLI and acceptance tests bound them by
-tolerance. After a deliberate output change, record the digests again
-with
+in both formats for every simple eigenvalue of the base (0 and 2 among
+them, which lift rejects with exit 1). lift's eigenpairs come from
+numpy.linalg.eigh with each vector's sign fixed and every number rounded
+to 12 decimals, so they do not depend on the LAPACK build. Base
+eigenvalues come from LAPACK, so the digests belong to the Python and
+numpy versions recorded with them. verify's `max_abs_deviation` and
+lift's `residual` are rounding noise, which also moves with the CPU and
+the BLAS thread count, so their values are masked before hashing; the
+oracle, CLI and acceptance tests bound them by tolerance. After a
+deliberate output change, record the digests again with
 
     PYTHONPATH=src python tests/test_golden.py
 """
