@@ -241,9 +241,12 @@ def _cmd_lift(ns, graph: graphs.Graph):
     ctx = spectrum.SpectrumContext(grown.vertex_count, len(grown.edges),
                                    grown.bipartite)
     doc = {"meta": _meta(ns.n, 1, ctx), "eigenvalue": lam, "lifts": lifts}
-    rows = [(item["mu"], item["residual"], k, x)
-            for item in lifts for k, x in enumerate(item["vector"])]
-    table = Table(("mu", "residual", "index", "component"), list(zip(*rows)))
+    size = grown.vertex_count
+    table = Table(("mu", "residual", "index", "component"), [
+        [item["mu"] for item in lifts for _ in range(size)],
+        [item["residual"] for item in lifts for _ in range(size)],
+        list(range(size)) * len(lifts),
+        [x for item in lifts for x in item["vector"]]])
     worst = max((item["residual"] for item in lifts), default=0.0)
     return 0 if worst <= ns.tolerance else 3, doc, table
 
