@@ -118,7 +118,7 @@ def _json_text(value, indent: int = 0) -> str:
 
 
 def _write(output_format: str, document, table: Table | None) -> None:
-    """Print a subcommand's result: the document as JSON or the table as CSV."""
+    """Print a result: the document as JSON or the table as CSV."""
     if output_format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(table.header)

@@ -52,7 +52,8 @@ def eigenpairs(name, graph, directory):
     every number is rounded to 12 decimals (the vector has unit norm), so
     the files hold the same bytes under any LAPACK build.
     """
-    values, vectors = np.linalg.eigh(oracle.normalized_laplacian(graph).entries)
+    laplacian = oracle.normalized_laplacian(graph).entries
+    values, vectors = np.linalg.eigh(laplacian)
     gaps = np.diff(values)
     out = []
     for k, value in enumerate(values.tolist()):
@@ -93,7 +94,7 @@ def case_prefix(command, fmt):
 
 
 def run_cases(command, fmt, variants, directory):
-    """{case key: [exit code, stdout sha256]} over the corpus, n and variant."""
+    """{case key: [exit code, stdout sha256]} over corpus, n and variant."""
     out = {}
     flags = ["--output-format", fmt] if fmt else []
     mask = MASKS.get((command[0], fmt))
