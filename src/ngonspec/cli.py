@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -68,9 +68,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _json_column(cells):
-    """Lazy JSON text of a column; uniform columns skip per-cell dispatch."""
-    kinds = set(map(type, cells))
+def _json_column(cells, kinds: set):
+    """Lazy JSON text of a column of the given cell types; uniform columns
+    skip per-cell dispatch."""
     if kinds == {float} and all(map(math.isfinite, cells)):
         return map(format, cells, repeat(".17g"))
     if kinds == {str}:
@@ -100,7 +100,8 @@ def _json_text(value, indent: int = 0) -> str:
     if isinstance(value, Table):
         row = (pad + "{{" + ", ".join(_ENCODE(key) + ": {}"
                                       for key in value.header) + "}}").format
-        cells = map(_json_column, value.columns)
+        cells = [_json_column(column, set(map(type, column)))
+                 for column in value.columns]
         return "[\n" + ",\n".join(map(row, *cells)) + close + "]"
     if isinstance(value, dict):
         if not any(isinstance(v, _NESTED) for v in value.values()):
@@ -111,9 +112,10 @@ def _json_text(value, indent: int = 0) -> str:
             for k, v in value.items()) + close + "}"
     if not value:
         return "[]"
+    kinds = set(map(type, value))
     cells = ([_json_text(v, indent + 1) for v in value]
-             if any(isinstance(v, _NESTED) for v in value)
-             else _json_column(value))
+             if any(issubclass(kind, _NESTED) for kind in kinds)
+             else _json_column(value, kinds))
     return "[\n" + pad + (",\n" + pad).join(cells) + close + "]"
 
 
@@ -134,8 +136,7 @@ def _meta(n: int, g: int, ctx: spectrum.SpectrumContext) -> dict:
 
 def _cmd_transform(ns, graph: graphs.Graph):
     grown = graphs.iterate_transform(graph, ns.n, ns.g, ns.explicit_cap)
-    for u, v in grown.edges:
-        print(f"{u} {v}")
+    print("".join(f"{u} {v}\n" for u, v in grown.edges), end="")
     return 0, None, None
 
 
@@ -229,25 +230,25 @@ def _cmd_lift(ns, graph: graphs.Graph):
                          '{"value": number, "vector": [number, ...]}')
     lam, vec = pair["value"], pair["vector"]
     grown = graphs.iterate_transform(graph, ns.n, 1, ns.explicit_cap)
-    lifts = []
-    for mu in roots.solve_lambda_many(ns.n, [lam])[0].tolist():
-        lifted = spectrum.lift_eigenvector(graph, ns.n, lam, vec, mu,
-                                           tol=ns.tolerance)
-        residual = float(np.linalg.norm(
-            oracle.laplacian_matvec(grown, lifted) - mu * lifted)
-            / np.linalg.norm(lifted))
-        lifts.append({"mu": mu, "residual": residual,
-                      "vector": lifted.tolist()})
-    ctx = spectrum.SpectrumContext(grown.vertex_count, len(grown.edges),
-                                   grown.bipartite)
-    doc = {"meta": _meta(ns.n, 1, ctx), "eigenvalue": lam, "lifts": lifts}
+    mus = roots.solve_lambda_many(ns.n, [lam])[0].tolist()
     size = grown.vertex_count
+    lifted = np.empty((len(mus), size))  # one lift per row
+    for row, mu in zip(lifted, mus):
+        row[:] = spectrum.lift_eigenvector(graph, ns.n, lam, vec, mu,
+                                           tol=ns.tolerance)
+    applied = oracle.laplacian_matvec(grown, lifted)  # every lift at once
+    residuals = [float(np.linalg.norm(image - mu * row) / np.linalg.norm(row))
+                 for image, mu, row in zip(applied, mus, lifted)]
+    vectors = lifted.tolist()
+    ctx = spectrum.SpectrumContext(size, len(grown.edges), grown.bipartite)
+    doc = {"meta": _meta(ns.n, 1, ctx), "eigenvalue": lam, "lifts": [
+        {"mu": mu, "residual": residual, "vector": vector}
+        for mu, residual, vector in zip(mus, residuals, vectors)]}
     table = Table(("mu", "residual", "index", "component"), [
-        [item["mu"] for item in lifts for _ in range(size)],
-        [item["residual"] for item in lifts for _ in range(size)],
-        list(range(size)) * len(lifts),
-        [x for item in lifts for x in item["vector"]]])
-    worst = max((item["residual"] for item in lifts), default=0.0)
+        [mu for mu in mus for _ in range(size)],
+        [residual for residual in residuals for _ in range(size)],
+        list(range(size)) * len(mus), list(chain.from_iterable(vectors))])
+    worst = max(residuals, default=0.0)
     return 0 if worst <= ns.tolerance else 3, doc, table
 
 

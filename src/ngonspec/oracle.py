@@ -61,14 +61,24 @@ def normalized_laplacian(graph: Graph) -> DenseSymMatrix:
 
 
 def laplacian_matvec(graph: Graph, vec) -> np.ndarray:
-    """normalized_laplacian(graph).entries @ vec from the edge list alone."""
+    """normalized_laplacian(graph).entries @ vec from the edge list alone.
+
+    vec is one vector or a (k, N) block with one vector per row; each row
+    of the result has the same bits as the call on that row alone.
+    """
     vec = np.asarray(vec, dtype=float)
     u, v = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
     scale = 1.0 / np.sqrt(np.asarray(graph.degrees, dtype=float))
     weight = scale[u] * scale[v]
     count = graph.vertex_count
-    return (vec - np.bincount(u, weight * vec[v], count)
-            - np.bincount(v, weight * vec[u], count))
+    rows = np.atleast_2d(vec)
+    slots = count * np.arange(len(rows))[:, None]  # row r sums at r*N + vertex
+
+    def gather(into, source):  # bincount adds in edge order, row by row
+        return np.bincount((into + slots).ravel(),
+                           (weight * rows[:, source]).ravel(),
+                           len(rows) * count).reshape(vec.shape)
+    return vec - gather(u, v) - gather(v, u)
 
 
 def eig_sym(matrix: DenseSymMatrix) -> np.ndarray:

@@ -107,10 +107,14 @@ class Spectrum:
 
     def source_labels(self) -> list[str]:
         """Export tag per row; each distinct lifted origin formatted once."""
-        lifted = {o: f"lifted({o:.17g})" for o in set(
-            self.origins[self.sources == _LIFTED].tolist())}
-        return [lifted[o] if c == _LIFTED else SOURCES[c]
-                for c, o in zip(self.sources.tolist(), self.origins.tolist())]
+        lifted = self.sources == _LIFTED
+        origins, slot = np.unique(self.origins[lifted], return_inverse=True)
+        labels = np.array([*SOURCES, *(f"lifted({o:.17g})"
+                                       for o in origins.tolist())],
+                          dtype=object)
+        codes = self.sources.astype(np.intp)
+        codes[lifted] = len(SOURCES) + slot
+        return labels[codes].tolist()
 
     def merged(self, tol: float = SNAP_TOL) -> list[tuple[float, int]]:
         """(value, multiplicity) pairs with near-equal values collapsed."""
@@ -288,15 +292,14 @@ def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu: float,
             "a_{n-1}(mu) vanishes; mu belongs to a fixed family, not a lift")
     a_prev = aseries.eval_a(n - 2, float(mu))
     scale = 1.0 / np.sqrt(np.asarray(graph.degrees, dtype=float))
-    out = np.zeros(graph.vertex_count + (n - 1) * len(graph.edges))
-    out[:graph.vertex_count] = vec
+    i, j = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    # Row e holds edge e's path; each step runs on all paths at once.
+    paths = np.empty((len(i), n - 1))
+    seed = vec[i] * scale[i]
+    paths[:, 0] = (a_prev / a_last) * seed + vec[j] * scale[j] / a_last
     step = 2.0 * (1.0 - mu)
-    for e, (i, j) in enumerate(graph.edges):
-        base = graph.vertex_count + e * (n - 1)
-        seed = vec[i] * scale[i]
-        out[base] = (a_prev / a_last) * seed + vec[j] * scale[j] / a_last
-        if n >= 3:
-            out[base + 1] = step * out[base] - seed
-            for k in range(2, n - 1):
-                out[base + k] = step * out[base + k - 1] - out[base + k - 2]
-    return out
+    if n >= 3:
+        paths[:, 1] = step * paths[:, 0] - seed
+    for k in range(2, n - 1):
+        paths[:, k] = step * paths[:, k - 1] - paths[:, k - 2]
+    return np.concatenate((vec, paths.ravel()))

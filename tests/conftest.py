@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ngonspec import graphs
+from ngonspec import aseries, graphs
 
 
 def complete_graph(nv):
@@ -177,3 +178,27 @@ def faddeev_leverrier_invariants(graph):
     trees = nonzero_product * math.prod(graph.degrees) / (2 * edges)
     assert trees.denominator == 1 and trees >= 1, trees
     return 2 * edges * kemeny, kemeny, int(trees)
+
+
+def per_edge_lift(graph, n, vec, mu):
+    """Lifted eigenvector written one edge and one path step at a time.
+
+    The reference for spectrum.lift_eigenvector, which takes the same
+    scalar steps on every edge's path at once; checks are left to it.
+    """
+    vec = np.asarray(vec, dtype=float)
+    a_last = aseries.eval_a(n - 1, float(mu))
+    a_prev = aseries.eval_a(n - 2, float(mu))
+    scale = 1.0 / np.sqrt(np.asarray(graph.degrees, dtype=float))
+    out = np.zeros(graph.vertex_count + (n - 1) * len(graph.edges))
+    out[:graph.vertex_count] = vec
+    step = 2.0 * (1.0 - mu)
+    for e, (i, j) in enumerate(graph.edges):
+        base = graph.vertex_count + e * (n - 1)
+        seed = vec[i] * scale[i]
+        out[base] = (a_prev / a_last) * seed + vec[j] * scale[j] / a_last
+        if n >= 3:
+            out[base + 1] = step * out[base] - seed
+            for k in range(2, n - 1):
+                out[base + k] = step * out[base + k - 1] - out[base + k - 2]
+    return out

@@ -234,6 +234,26 @@ def test_flag_errors_exit_one(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_json_list_with_a_table_or_dict_beside_scalars_renders_nested():
+    table = cli.Table(("a", "b"), [[1, 2], [0.5, "x"]])
+    text = cli._json_text({"items": [1.5, table, {"c": None}, "s"]})
+    assert text == ('{\n  "items": [\n    1.5,\n    [\n'
+                    '      {"a": 1, "b": 0.5},\n      {"a": 2, "b": "x"}\n'
+                    '    ],\n    {"c": null},\n    "s"\n  ]\n}')
+    assert json.loads(text) == {"items": [1.5, [{"a": 1, "b": 0.5},
+                                                {"a": 2, "b": "x"}],
+                                          {"c": None}, "s"]}
+    assert cli._json_text([{"d": True}, 3]) == '[\n  {"d": true},\n  3\n]'
+    assert cli._json_text([2, cli.Table(("e",), [["f"]])]) \
+        == '[\n  2,\n  [\n    {"e": "f"}\n  ]\n]'
+
+
+def test_json_float_list_renders_non_finite_as_null():
+    assert cli._json_text([0.25, float("nan"), 1.0]) \
+        == "[\n  0.25,\n  null,\n  1\n]"
+    assert cli._json_text([float("inf"), -0.5]) == "[\n  null,\n  -0.5\n]"
+
+
 def test_one_writer_prints_results():
     # Every result reaches stdout through cli._write; only transform prints
     # its edge list itself.

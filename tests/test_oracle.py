@@ -38,6 +38,29 @@ def test_laplacian_matvec_matches_dense(corpus):
             assert np.max(np.abs(got - dense @ vec)) <= 1e-14
 
 
+def test_laplacian_matvec_block_rows_match_single_calls(corpus):
+    # lift prints residuals to 17 digits, so the bits of one row are held
+    # to the edge-order sums of the one-vector formula
+    rng = np.random.default_rng(5)
+    grown = graphs.polygon_transform(random_connected_graph(
+        random.Random(40), 40, 20), 22)
+    for graph in [*corpus.values(), grown]:
+        u, v = np.array(graph.edges).T
+        weight = 1.0 / np.sqrt(np.array(graph.degrees, dtype=float))
+        weight = weight[u] * weight[v]
+        count = graph.vertex_count
+        for k in (1, 3, 22):
+            block = rng.standard_normal((k, count))
+            got = oracle.laplacian_matvec(graph, block)
+            assert got.shape == block.shape
+            for row, vec in zip(got, block):
+                single = oracle.laplacian_matvec(graph, vec)
+                assert np.array_equal(row, single)
+                assert np.array_equal(single, (
+                    vec - np.bincount(u, weight * vec[v], count)
+                    - np.bincount(v, weight * vec[u], count)))
+
+
 def test_eig_known_spectra():
     assert np.allclose(
         oracle.eig_sym(oracle.normalized_laplacian(complete_graph(2))),

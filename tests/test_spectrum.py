@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from ngonspec import graphs, oracle, spectrum
+from ngonspec import graphs, oracle, roots, spectrum
 
 from conftest import (build_corpus, complete_graph, cycle_graph, path_graph,
-                      star_graph)
+                      per_edge_lift, random_connected_graph, star_graph)
 
 
 def entry_tuples(spec, digits=10):
@@ -223,3 +223,40 @@ def test_lift_rejects_bad_input():
     with pytest.raises(ValueError):
         # a_{n-1} vanishes at mu = 1 for n = 2
         spectrum.lift_eigenvector(k3, 2, lam, vec, 1.0)
+
+
+def assert_lift_matches_per_edge(graph, ns, stride=1):
+    """lift_eigenvector has the reference's bits for every transfer root of
+    every stride-th eigenpair off {0, 2}; returns the number of lifts."""
+    lap = oracle.normalized_laplacian(graph).entries
+    values, vectors = np.linalg.eigh(lap)
+    inner = [k for k, value in enumerate(values.tolist())
+             if 1e-9 < value < 2.0 - 1e-9]
+    lifts = 0
+    for k in inner[::stride]:
+        lam, vec = float(values[k]), vectors[:, k]
+        for n in ns:
+            for mu in roots.solve_lambda_many(n, [lam])[0].tolist():
+                got = spectrum.lift_eigenvector(graph, n, lam, vec, mu)
+                assert np.array_equal(got, per_edge_lift(graph, n, vec, mu))
+                lifts += 1
+    return lifts
+
+
+def test_lift_matches_per_edge_reference_on_corpus(corpus):
+    assert sum(assert_lift_matches_per_edge(graph, range(2, 8))
+               for graph in corpus.values()) > 500
+
+
+def test_lift_matches_per_edge_reference_at_high_n():
+    graph = random_connected_graph(random.Random(40), 40, 20)
+    assert assert_lift_matches_per_edge(graph, range(10, 33), stride=13) > 500
+
+
+def test_source_labels_match_the_entries(corpus):
+    for graph in corpus.values():
+        spec, _ = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
+                                            3, 2)
+        assert spec.source_labels() == [
+            f"lifted({e.origin:.17g})" if e.source == "lifted" else e.source
+            for e in spec.entries]
