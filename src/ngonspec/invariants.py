@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import oracle
 from .graphs import Graph, predict_counts
 from .spectrum import ZERO_CODE, Spectrum, SpectrumContext
@@ -38,6 +40,14 @@ def _as_kind(value: Fraction, like):
     return value if isinstance(like, Fraction) else float(value)
 
 
+def _running_sum(terms) -> float:
+    """0.0 + terms[0] + terms[1] + ... left to right, as a Python loop adds.
+
+    np.add.accumulate keeps that order, where np.sum pairs terms up.
+    """
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
 def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
                              generation: int = 0) -> InvariantReport:
     """Invariants straight from eigenvalue sums (binary64 arithmetic).
@@ -52,12 +62,11 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
     zero_mult = sum(spec.multiplicities[zero].tolist())
     if zero_mult != 1:
         raise ValueError(f"0 must have multiplicity 1, found {zero_mult}")
-    reciprocal = 0.0
-    log_product = 0.0
-    for value, mult in zip(spec.values[~zero].tolist(),
-                           spec.multiplicities[~zero].tolist()):
-        reciprocal += mult / value
-        log_product += mult * math.log(value)
+    values = spec.values[~zero]
+    mults = spec.multiplicities[~zero].astype(float)
+    logs = np.fromiter(map(math.log, values.tolist()), float, len(values))
+    reciprocal = _running_sum(mults / values)
+    log_product = _running_sum(mults * logs)
     kirchhoff = 2 * ctx.edges * reciprocal
     log_trees = math.log(product) + log_product - math.log(2 * ctx.edges)
     try:

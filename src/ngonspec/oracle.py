@@ -14,6 +14,15 @@ zero-width B and Hadamard's bound, the kept-degree product; the Kirchhoff
 index takes B = I, skips primes dividing the tree count and multiplies the
 bound by 2 E**2 N. Entries stay below order * p**2 < 2**63, so orders of
 2048 and more are refused.
+
+L0 comes in ascending kept-degree order, a minimum-degree-style order
+(George & Liu, Computer Solution of Large Sparse Positive Definite
+Systems, 1981): a grown graph's newest path vertices have degree 2 and
+every older degree has doubled, so elimination is a series reduction with
+little fill. One call eliminates a batch of primes in a (P, n, n + m)
+array, and each step touches only the rows and columns that the pivot
+column and row reach; once the pivot column is dense, the step updates
+the trailing block by slices. MODULAR_BATCH_BYTES caps a batch's array.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .graphs import CapExceededError, Graph, GraphError
 TREE_COUNT_CAP = 400
 PRIME_LIMIT = 2 ** 26       # moduli stay below this, so p**2 < 2**52
 MAX_MODULAR_ORDER = 2048    # order * p**2 must stay below 2**63
+MODULAR_BATCH_BYTES = 2 ** 24  # cap on one batch's (P, n, n + m) int64 array
 _PRIMES: list[int] = []     # filled on first use, not at import
 _ODD_PRIMES_TO_47 = 307444891294245705  # 3 * 5 * 7 * ... * 47
 
@@ -121,71 +131,115 @@ def _prime(index: int) -> int:
     return _PRIMES[index]
 
 
-def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, p: int):
-    """det mat mod p and, when that is nonzero, adj(mat) @ rhs mod p.
+def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, primes):
+    """[(det mat mod p, adj(mat) @ rhs mod p or None when det is 0) per p].
 
-    Gaussian elimination of [mat | rhs] in int64. Only the pivot column
-    and row are reduced mod p; the trailing block takes one unreduced
-    rank-one update per step, each below p**2, so its entries stay under
-    order * p**2 < 2**63. Back substitution gives x = mat^{-1} @ rhs, and
-    adj(mat) @ rhs = det * x; a zero-width rhs costs the determinant only.
+    One (P, n, n + m) int64 array holds [mat | rhs] for every prime of
+    the batch. Step k reduces only the pivot column and row mod p, and
+    updates only the rows where the column is nonzero for some prime and
+    the columns where the row is: a few entries per step on a sparse
+    matrix in a good order, whole slices once the pivot column is dense.
+    A zero pivot swaps rows for its own prime only; a column of zeros
+    makes that prime's det 0 and leaves the others going. Each update is
+    below p**2, so entries stay under order * p**2 < 2**63. Back
+    substitution gives x = mat^{-1} @ rhs over each pivot row's nonzero
+    columns, and adj(mat) @ rhs = det * x; a zero-width rhs costs the det
+    only.
     """
-    size = len(mat)
+    size, width = rhs.shape
     if size >= MAX_MODULAR_ORDER:
         raise ValueError(f"modular determinant needs order below "
                          f"{MAX_MODULAR_ORDER}, got {size}")
-    a = np.concatenate((mat, rhs), axis=1) % p
-    det = 1
+    mod = np.array(primes, dtype=np.int64)[:, None]
+    a = np.concatenate((mat, rhs), axis=1)[None] % mod[:, :, None]
+    det = np.ones(len(primes), dtype=np.int64)
+    inverses, uses = np.ones((len(primes), size), dtype=np.int64), []
     for k in range(size):
-        col = a[k:, k] % p
-        pivot = int(col[0])
-        if not pivot:
-            nonzero = np.flatnonzero(col)
-            if not nonzero.size:
-                return 0, None
-            r = int(nonzero[0])
-            a[[k, k + r], k:] = a[[k + r, k], k:]
-            col[[0, r]] = col[[r, 0]]
-            pivot = int(col[0])
-            det = -det
-        det = det * pivot % p
-        factors = col[1:] * pow(pivot, -1, p) % p
-        a[k + 1:, k + 1:] -= np.multiply.outer(factors, a[k, k + 1:] % p)
-    x = a[:, size:] % p
-    for k in range(size - 1, -1, -1) if x.size else ():
-        x[k] = ((x[k] - (a[k, k + 1:size] % p) @ x[k + 1:]) % p
-                * pow(int(a[k, k]), -1, p) % p)
-    return det % p, x * det % p
+        col = a[:, k:size, k] % mod
+        for i in np.flatnonzero(col[:, 0] == 0):
+            nonzero = np.flatnonzero(col[i])
+            if not nonzero.size:  # det is 0 mod this prime; unit pivot
+                det[i], col[i, 0] = 0, 1
+                continue
+            r = nonzero[0]
+            a[i, [k, k + r], k:] = a[i, [k + r, k], k:]
+            col[i, [0, r]] = col[i, [r, 0]]
+            det[i] = -det[i]
+        det = det * col[:, 0] % mod[:, 0]
+        inverses[:, k] = [pow(v, -1, p) for v, p in
+                          zip(col[:, 0].tolist(), primes)]
+        row = a[:, k, k + 1:] % mod
+        cols = row.any(axis=0).nonzero()[0]
+        uses.append(cols[:np.searchsorted(cols, size - k - 1)] + k + 1)
+        rows = col[:, 1:].any(axis=0).nonzero()[0]
+        if rows.size and cols.size:
+            if 2 * rows.size > size - k:  # a dense front: slices beat gathers
+                rows, cols = np.s_[rows[0]:], np.s_[cols[0]:]
+                at = (np.s_[:], rows, cols)
+            else:
+                at = (np.s_[:], rows[:, None], cols)
+            factors = col[:, 1:][:, rows] * inverses[:, k, None] % mod
+            a[:, k + 1:size, k + 1:][at] -= \
+                factors[:, :, None] * row[:, None, cols]
+    x = a[:, :, size:]
+    for k in range(size - 1, -1, -1) if width else ():
+        upper = a[:, k, uses[k]] % mod
+        x[:, k] = (x[:, k] - np.einsum("pc,pcm->pm", upper, x[:, uses[k]])
+                   ) % mod * inverses[:, k, None] % mod
+    adj = x * det[:, None, None] % mod[:, :, None]
+    return [(d, adj_rhs if d else None)
+            for d, adj_rhs in zip(det.tolist(), adj)]
 
 
-def _crt(digits_of, bound: int, count: int = 1) -> list[int]:
+def _crt(digits_of, bound: int, count: int = 1, batch: int = 1) -> list[int]:
     """count integers in [-bound, bound] from their residues mod primes.
 
-    digits_of(p) gives the count residues mod p, or None to skip p. Primes
-    are taken until their product exceeds 2 * bound, and Garner's
-    mixed-radix step joins the digits.
+    digits_of(primes) gives, per prime, its count residues or None to skip
+    it. Each call gets at most batch primes, no more than would lift the
+    product past 2 * bound if none were skipped; calls go on until the
+    product does, and Garner's mixed-radix step joins the digits.
     """
     values, modulus, index = [0] * count, 1, 0
     while modulus <= 2 * bound:
-        p, index = _prime(index), index + 1
-        if (digits := digits_of(p)) is None:
-            continue
-        inverse = pow(modulus, -1, p)
-        values = [v + modulus * ((r - v) * inverse % p)
-                  for v, r in zip(values, digits)]
-        modulus *= p
+        primes, reach = [], modulus
+        while reach <= 2 * bound and len(primes) < batch:
+            primes.append(_prime(index + len(primes)))
+            reach *= primes[-1]
+        index += len(primes)
+        for p, digits in zip(primes, digits_of(primes)):
+            if digits is None:
+                continue
+            inverse = pow(modulus, -1, p)
+            values = [v + modulus * ((r - v) * inverse % p)
+                      for v, r in zip(values, digits)]
+            modulus *= p
     return [v - modulus if 2 * v > modulus else v for v in values]
+
+
+def _batch(order: int, width: int) -> int:
+    """Primes per batch that keep [mat | rhs] within MODULAR_BATCH_BYTES."""
+    return max(1, MODULAR_BATCH_BYTES // max(1, 8 * order * (order + width)))
 
 
 def _modular_det(mat: np.ndarray, bound: int) -> int:
     """Exact det of an integer matrix with |det| <= bound, via CRT."""
     mat = np.asarray(mat, dtype=np.int64)
-    (det,) = _crt(lambda p: _eliminate_mod(mat, mat[:, :0], p)[:1], bound)
+
+    def digits_of(primes):
+        return [(det,) for det, _ in _eliminate_mod(mat, mat[:, :0], primes)]
+
+    (det,) = _crt(digits_of, bound, 1, _batch(len(mat), 0))
     return det
 
 
 def _reduced_laplacian(graph: Graph, drop: int, cap: int):
-    """The integer Laplacian without row and column drop; kept degrees."""
+    """The integer Laplacian without row and column drop; kept degrees.
+
+    Both come in ascending kept-degree order (a stable sort), a symmetric
+    permutation that changes neither det nor adj's quadratic forms. On a
+    grown graph it puts the newest degree-2 path vertices first, so
+    elimination runs as a series reduction with little fill.
+    """
     count = graph.vertex_count
     if count > cap:
         raise CapExceededError(count, cap, "exact spanning-tree count")
@@ -197,8 +251,9 @@ def _reduced_laplacian(graph: Graph, drop: int, cap: int):
     u, v = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
     lap[u, v] = lap[v, u] = -1
     np.fill_diagonal(lap, graph.degrees)
-    minor = np.delete(np.delete(lap, drop, 0), drop, 1)
-    return minor, graph.degrees[:drop] + graph.degrees[drop + 1:]
+    kept = np.delete(np.arange(count), drop)
+    kept = kept[np.argsort(lap[kept, kept], kind="stable")]
+    return lap[np.ix_(kept, kept)], lap[kept, kept].tolist()
 
 
 def matrix_tree_count(graph: Graph, drop: int = 0,
@@ -226,14 +281,15 @@ def kirchhoff_tree_count(graph: Graph) -> tuple[Fraction, int]:
     edges, degrees = len(graph.edges), np.asarray(kept, dtype=np.int64)
     identity = np.eye(len(kept), dtype=np.int64)
 
-    def digits_of(p):
-        tau, adj = _eliminate_mod(minor, identity, p)
-        if tau:  # else None: p divides tau and is skipped
-            return tau, (2 * edges * int(degrees @ adj.diagonal())
-                         - int(degrees @ (adj @ degrees % p))) % p
+    def digits_of(primes):
+        solved = _eliminate_mod(minor, identity, primes)
+        for p, (tau, adj) in zip(primes, solved):
+            yield None if not tau else (  # p divides tau: skip it
+                tau, (2 * edges * int(degrees @ adj.diagonal())
+                      - int(degrees @ (adj @ degrees % p))) % p)
 
     bound = math.prod(kept) * 2 * edges * edges * graph.vertex_count
-    tau, form = _crt(digits_of, bound, 2)
+    tau, form = _crt(digits_of, bound, 2, _batch(len(kept), len(kept)))
     return Fraction(form, tau), tau
 
 

@@ -320,6 +320,17 @@ def test_criterion_9_exact_mode_at_40_vertices(tmp_path, capsys):
                   f"{seconds * 1000:.0f} ms, Kemeny {first['kemeny']}")
 
 
+def test_criterion_9_tree_count_at_390_vertices():
+    base = random_connected_graph(random.Random(390), 390, 600)
+    start = time.perf_counter()
+    trees = oracle.matrix_tree_count(base)
+    seconds = time.perf_counter() - start
+    ok = seconds < PERF_BUDGET_SECONDS and trees > 0
+    report(9, ok, f"exact tree count of a 390-vertex, {len(base.edges)}-"
+                  f"edge base in {seconds * 1000:.0f} ms, "
+                  f"{len(str(trees))} digits")
+
+
 def test_criterion_10_high_n_verify(corpus, tmp_path, capsys):
     worst = 0.0
     bad = []

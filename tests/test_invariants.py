@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,39 @@ def test_from_spectrum_accepts_degree_sequence():
     by_product = invariants.invariants_from_spectrum(spec, ctx, 8)
     by_sequence = invariants.invariants_from_spectrum(spec, ctx, (2, 2, 2))
     assert by_product == by_sequence
+
+
+def test_from_spectrum_sums_like_a_python_loop(corpus):
+    # The sums run left to right over the nonzero rows, so their bits are
+    # those of a += loop, not of numpy's pairwise np.sum.
+    rng = random.Random(11)
+    for name, base in corpus.items():
+        spec, ctx = spectrum.base_spectrum(base)
+        grown, grown_ctx = spectrum.iterate_spectrum(
+            spec, ctx, rng.randint(2, 9), rng.randint(1, 3))
+        report = invariants.invariants_from_spectrum(grown, grown_ctx, 1)
+        reciprocal = log_product = 0.0
+        for value, mult, source in zip(grown.values.tolist(),
+                                       grown.multiplicities.tolist(),
+                                       grown.sources.tolist()):
+            if source != spectrum.ZERO_CODE:
+                reciprocal += mult / value
+                log_product += mult * math.log(value)
+        assert report.kemeny == reciprocal, name
+        assert type(report.kemeny) is float
+        assert report.kirchhoff_multiplicative \
+            == 2 * grown_ctx.edges * reciprocal
+        want = round(math.exp(log_product - math.log(2 * grown_ctx.edges)))
+        assert report.spanning_trees == want
+
+
+def test_from_spectrum_with_only_the_zero_row():
+    spec = spectrum.Spectrum.from_entries(
+        [spectrum.SpectrumEntry(0.0, 1, spectrum.SOURCE_ZERO)])
+    report = invariants.invariants_from_spectrum(
+        spec, spectrum.SpectrumContext(1, 1, False), 2)
+    assert (report.kirchhoff_multiplicative, report.kemeny) == (0.0, 0.0)
+    assert report.spanning_trees == 1
 
 
 def test_exact_invariants_worked_values():

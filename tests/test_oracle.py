@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ngonspec import graphs, oracle
+from ngonspec import graphs, invariants, oracle
 
 from conftest import (bareiss_det, bareiss_tree_count, complete_graph,
                       cycle_graph, path_graph, petersen_graph,
@@ -223,6 +223,32 @@ def test_matrix_tree_drop_choice_on_a_large_graph():
     assert len(counts) == 1
 
 
+def test_reduced_laplacian_is_in_kept_degree_order(corpus):
+    cases = list(corpus.values()) + [
+        graphs.iterate_transform(cycle_graph(5), 3, 2),
+        random_connected_graph(random.Random(7), 50, 40)]
+    for graph in cases:
+        for drop in (0, graph.vertex_count - 1):
+            minor, kept = oracle._reduced_laplacian(
+                graph, drop, oracle.TREE_COUNT_CAP)
+            assert kept == sorted(kept)
+            assert sorted(kept) == sorted(
+                graph.degrees[:drop] + graph.degrees[drop + 1:])
+            assert minor.diagonal().tolist() == kept
+            assert np.array_equal(minor, minor.T)
+            assert minor.sum() == graph.degrees[drop]
+            assert (minor == -1).sum() \
+                == 2 * (len(graph.edges) - graph.degrees[drop])
+
+
+def test_matrix_tree_count_at_366_vertices():
+    grown = graphs.iterate_transform(complete_graph(3), 2, 5)
+    assert grown.vertex_count == 366
+    want = invariants.spanning_trees_closed(3, 3, 3, 2, 5)
+    for drop in (0, grown.vertex_count - 1):
+        assert oracle.matrix_tree_count(grown, drop=drop) == want
+
+
 def adjugate(rows):
     """adj(A)[i][j] = (-1)**(i+j) det(A without row j and column i)."""
     size = len(rows)
@@ -239,9 +265,9 @@ def test_eliminate_mod_gives_det_and_adjugate_times_rhs(rows, width, data):
         st.lists(st.integers(-9, 9), min_size=width, max_size=width),
         min_size=size, max_size=size))
     p = oracle._prime(0)
-    det, adj_rhs = oracle._eliminate_mod(
+    [(det, adj_rhs)] = oracle._eliminate_mod(
         np.array(rows, dtype=np.int64).reshape(size, size),
-        np.array(rhs, dtype=np.int64).reshape(size, width), p)
+        np.array(rhs, dtype=np.int64).reshape(size, width), [p])
     assert det == bareiss_det([list(r) for r in rows]) % p
     if not det:
         assert adj_rhs is None
@@ -257,11 +283,54 @@ def test_eliminate_mod_with_a_residue_of_zero():
     first, second = oracle._prime(0), oracle._prime(1)
     mat = np.array([[3 * first, 17], [first, 5]], dtype=np.int64)
     identity = np.eye(2, dtype=np.int64)
-    assert oracle._eliminate_mod(mat, identity, first) == (0, None)
-    det, adj = oracle._eliminate_mod(mat, identity, second)
+    assert oracle._eliminate_mod(mat, identity, [first])[0] == (0, None)
+    [(det, adj)] = oracle._eliminate_mod(mat, identity, [second])
     assert det == -2 * first % second
     assert adj.tolist() == [[5, second - 17],
                             [(-first) % second, 3 * first % second]]
+
+
+@PROPERTY
+@given(rows=SQUARE_MATRICES, width=st.integers(0, 3), seed=st.integers())
+@example(rows=[[0, 3], [3, 0]], width=1, seed=0)      # 3: a zero column
+@example(rows=[[5, 1, 0], [1, 7, 2], [0, 2, 3]], width=2, seed=0)
+def test_eliminate_mod_batch_with_small_primes(rows, width, seed):
+    # With 3, 5 and 7 in the batch, zero pivots and zero residues are
+    # common, and each prime must swap, flip its sign or stop on its own.
+    size, rng = len(rows), random.Random(seed)
+    rhs = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(size)]
+    primes = [3, 5, 7, oracle._prime(0)]
+    results = oracle._eliminate_mod(
+        np.array(rows, dtype=np.int64).reshape(size, size),
+        np.array(rhs, dtype=np.int64).reshape(size, width), primes)
+    assert len(results) == len(primes)
+    want = bareiss_det([list(r) for r in rows])
+    adj = adjugate([list(r) for r in rows])
+    for p, (det, adj_rhs) in zip(primes, results):
+        assert det == want % p
+        if not det:
+            assert adj_rhs is None
+            continue
+        assert adj_rhs.tolist() == [
+            [sum(adj[i][k] * rhs[k][j] for k in range(size)) % p
+             for j in range(width)] for i in range(size)]
+
+
+def test_batches_stay_within_the_byte_budget(monkeypatch):
+    graph = random_connected_graph(random.Random(5), 30, 30)
+    want = oracle.kirchhoff_tree_count(graph)
+    budget = 2 * 8 * 29 * 58  # two primes of [L0 | I] at order 29
+    monkeypatch.setattr(oracle, "MODULAR_BATCH_BYTES", budget)
+    sizes = []
+    kernel = oracle._eliminate_mod
+
+    def spy(mat, rhs, primes):
+        sizes.append(8 * len(primes) * len(mat) * (len(mat) + rhs.shape[1]))
+        return kernel(mat, rhs, primes)
+
+    monkeypatch.setattr(oracle, "_eliminate_mod", spy)
+    assert oracle.kirchhoff_tree_count(graph) == want
+    assert len(sizes) >= 2 and max(sizes) == budget
 
 
 def test_kirchhoff_skips_primes_that_divide_the_tree_count(monkeypatch):
@@ -272,10 +341,10 @@ def test_kirchhoff_skips_primes_that_divide_the_tree_count(monkeypatch):
     seen = []
     kernel = oracle._eliminate_mod
 
-    def spy(mat, rhs, p):
-        det, adj = kernel(mat, rhs, p)
-        seen.append((p, det))
-        return det, adj
+    def spy(mat, rhs, primes):
+        results = kernel(mat, rhs, primes)
+        seen.extend((p, det) for p, (det, _) in zip(primes, results))
+        return results
 
     monkeypatch.setattr(oracle, "_eliminate_mod", spy)
     assert oracle.kirchhoff_tree_count(petersen_graph()) \
