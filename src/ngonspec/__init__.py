@@ -14,9 +14,8 @@ from .graphs import (CapExceededError, Graph, GraphError, GrowthCounts,
                      polygon_transform, predict_counts)
 from .invariants import (InvariantReport, degree_product,
                          degree_product_closed, exact_invariants,
-                         invariants_from_spectrum, kemeny_closed, kemeny_step,
-                         kirchhoff_closed, kirchhoff_step,
-                         spanning_trees_closed, spanning_trees_step)
+                         invariants_from_spectrum, kemeny_closed,
+                         kirchhoff_closed, spanning_trees_closed)
 from .oracle import (ComparisonReport, DenseSymMatrix, compare_spectra,
                      eig_sym, laplacian_matvec, matrix_tree_count,
                      normalized_laplacian)
@@ -37,11 +36,10 @@ __all__ = [
     "compare_spectra", "degree_product", "degree_product_closed", "eig_sym",
     "eval_a", "exact_invariants", "family_polynomial",
     "invariants_from_spectrum", "iterate_spectrum", "iterate_transform",
-    "kemeny_closed", "kemeny_step", "kirchhoff_closed", "kirchhoff_step",
-    "lambda_polynomial", "laplacian_matvec", "lift_eigenvector",
-    "linear_combination", "make_graph", "matrix_tree_count",
-    "normalized_laplacian", "parse_edge_list", "polygon_transform",
-    "predict_counts", "roots_of_family", "solve_lambda_equation",
-    "solve_lambda_many", "spanning_trees_closed", "spanning_trees_step",
-    "transform_spectrum", "vieta_sums",
+    "kemeny_closed", "kirchhoff_closed", "lambda_polynomial",
+    "laplacian_matvec", "lift_eigenvector", "linear_combination",
+    "make_graph", "matrix_tree_count", "normalized_laplacian",
+    "parse_edge_list", "polygon_transform", "predict_counts",
+    "roots_of_family", "solve_lambda_equation", "solve_lambda_many",
+    "spanning_trees_closed", "transform_spectrum", "vieta_sums",
 ]

@@ -30,6 +30,7 @@ import numpy as np
 from . import graphs, invariants, oracle, roots, spectrum
 
 _ENCODE = json.encoder.encode_basestring_ascii  # json.dumps of a str
+_FROM_SPECTRUM, _CLOSED_FORM = "from-spectrum", "closed-form"  # row methods
 
 
 class Table(NamedTuple):
@@ -161,22 +162,21 @@ def _cmd_invariants(ns, graph: graphs.Graph):
                                                    product0)
         kf0, k0 = base.kirchhoff_multiplicative, base.kemeny
     kf_t, k_t, nst_t = kf0, k0, nst0
-    rows = [(0, invariants.METHOD_SPECTRUM, kf0, k0, str(nst0))]
+    rows = [(0, _FROM_SPECTRUM, kf0, k0, str(nst0))]
     spec_t, ctx_t = base_spec, base_ctx
     for t in range(1, ns.g + 1):
         kf_t = invariants.kirchhoff_closed(kf0, n0, e0, ns.n, t)
         k_t = invariants.kemeny_closed(k0, n0, e0, ns.n, t)
         nst_t = invariants.spanning_trees_closed(nst0, n0, e0, ns.n, t)
-        rows.append((t, invariants.METHOD_CLOSED, kf_t, k_t, str(nst_t)))
+        rows.append((t, _CLOSED_FORM, kf_t, k_t, str(nst_t)))
         # vertex counts grow with t, so once past the cap they stay past it
         if graphs.predict_counts(n0, e0, ns.n, t).vertices > ns.explicit_cap:
             continue
         spec_t, ctx_t = spectrum.transform_spectrum(spec_t, ctx_t, ns.n)
         report = invariants.invariants_from_spectrum(
             spec_t, ctx_t,
-            invariants.degree_product_closed(product0, n0, e0, ns.n, t),
-            generation=t)
-        rows.append((t, report.method, report.kirchhoff_multiplicative,
+            invariants.degree_product_closed(product0, n0, e0, ns.n, t))
+        rows.append((t, _FROM_SPECTRUM, report.kirchhoff_multiplicative,
                      report.kemeny, None if report.spanning_trees is None
                      else str(report.spanning_trees)))
     table = Table(("generation", "method", "kirchhoff", "kemeny",
@@ -230,16 +230,14 @@ def _cmd_lift(ns, graph: graphs.Graph):
                          '{"value": number, "vector": [number, ...]}')
     lam, vec = pair["value"], pair["vector"]
     grown = graphs.iterate_transform(graph, ns.n, 1, ns.explicit_cap)
-    mus = roots.solve_lambda_many(ns.n, [lam])[0].tolist()
-    size = grown.vertex_count
-    lifted = np.empty((len(mus), size))  # one lift per row
-    for row, mu in zip(lifted, mus):
-        row[:] = spectrum.lift_eigenvector(graph, ns.n, lam, vec, mu,
-                                           tol=ns.tolerance)
-    applied = oracle.laplacian_matvec(grown, lifted)  # every lift at once
+    mus = roots.solve_lambda_many(ns.n, [lam])[0]
+    lifted = spectrum.lift_eigenvector(graph, ns.n, lam, vec, mus,
+                                       tol=ns.tolerance)  # one lift per row
+    applied = oracle.laplacian_matvec(grown, lifted)
+    mus, vectors = mus.tolist(), lifted.tolist()
     residuals = [float(np.linalg.norm(image - mu * row) / np.linalg.norm(row))
                  for image, mu, row in zip(applied, mus, lifted)]
-    vectors = lifted.tolist()
+    size = grown.vertex_count
     ctx = spectrum.SpectrumContext(size, len(grown.edges), grown.bipartite)
     doc = {"meta": _meta(ns.n, 1, ctx), "eigenvalue": lam, "lifts": [
         {"mu": mu, "residual": residual, "vector": vector}
@@ -252,12 +250,33 @@ def _cmd_lift(ns, graph: graphs.Graph):
     return 0 if worst <= ns.tolerance else 3, doc, table
 
 
+# Each subcommand: its function, its help line and the flags it reads
+# beyond input, --n and --g.
 _COMMANDS = {
-    "transform": _cmd_transform,
-    "spectrum": _cmd_spectrum,
-    "invariants": _cmd_invariants,
-    "verify": _cmd_verify,
-    "lift": _cmd_lift,
+    "transform": (_cmd_transform, "write the grown graph's edge list",
+                  ("--explicit-cap",)),
+    "spectrum": (_cmd_spectrum,
+                 "spectrum of the grown graph, no explicit build",
+                 ("--output-format",)),
+    "invariants": (_cmd_invariants, "invariant chain for generations 0..g",
+                   ("--output-format", "--explicit-cap", "--exact")),
+    "verify": (_cmd_verify,
+               "compare the spectrum pipeline against the oracle",
+               ("--tolerance", "--output-format", "--explicit-cap")),
+    "lift": (_cmd_lift, "lift a base eigenvector one growth step",
+             ("--tolerance", "--output-format", "--explicit-cap",
+              "--eigenpair")),
+}
+_FLAGS = {
+    "--tolerance": dict(type=float, default=1e-8,
+                        help="comparison tolerance (default 1e-8)"),
+    "--output-format": dict(choices=("json", "csv"), default="json"),
+    "--explicit-cap": dict(type=int, default=graphs.DEFAULT_EXPLICIT_CAP,
+                           help="largest vertex count built explicitly"),
+    "--exact": dict(action="store_true", help="exact rational base values"),
+    "--eigenpair": dict(
+        required=True,
+        help='JSON file {"value": eigenvalue, "vector": [...]}'),
 }
 
 
@@ -270,52 +289,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    parser = _Parser(prog="ngonspec",
+                     description="spectra and invariants of edge-to-polygon "
+                                 "graph growth")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("input", help="edge-list file: 'u v' per line, '#' comments")
+    common.add_argument("input", help="edge-list file: 'u v' per line, "
+                                      "'#' comments")
     common.add_argument("--n", type=int, required=True,
                         help="polygon parameter, at least 2")
     common.add_argument("--g", type=int, default=1,
                         help="number of growth steps (default 1)")
-    common.add_argument("--tolerance", type=float, default=1e-8,
-                        help="comparison tolerance (default 1e-8)")
-    common.add_argument("--output-format", choices=("json", "csv"),
-                        default="json")
-    common.add_argument("--explicit-cap", type=int,
-                        default=graphs.DEFAULT_EXPLICIT_CAP,
-                        help="largest vertex count built explicitly")
-    parser = _Parser(prog="ngonspec",
-                     description="spectra and invariants of edge-to-polygon "
-                                 "graph growth")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("transform", parents=[common],
-                   help="write the grown graph's edge list")
-    sub.add_parser("spectrum", parents=[common],
-                   help="spectrum of the grown graph, no explicit build")
-    inv = sub.add_parser("invariants", parents=[common],
-                         help="invariant chain for generations 0..g")
-    inv.add_argument("--exact", action="store_true",
-                     help="exact rational base values")
-    sub.add_parser("verify", parents=[common],
-                   help="compare the spectrum pipeline against the oracle")
-    lift = sub.add_parser("lift", parents=[common],
-                          help="lift a base eigenvector one growth step")
-    lift.add_argument("--eigenpair", required=True,
-                      help='JSON file {"value": eigenvalue, "vector": [...]}')
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=help_text)
+        for flag in flags:
+            command.add_argument(flag, **_FLAGS[flag])
     ns = parser.parse_args(argv)
     if ns.n < 2:
         parser.error("--n must be at least 2")
     if ns.g < 0:
         parser.error("--g must be nonnegative")
-    if not 0 < ns.tolerance < math.inf:
+    if ns.command == "lift" and ns.g != 1:
+        parser.error("lift grows one step, so --g must be 1")
+    if "tolerance" in ns and not 0 < ns.tolerance < math.inf:
         parser.error("--tolerance must be a positive finite number")
-    if ns.explicit_cap < 2:
+    if "explicit_cap" in ns and ns.explicit_cap < 2:
         parser.error("--explicit-cap must be at least 2")
     # counts grow without bound; lift the int-to-str digit guard
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
         graph = graphs.parse_edge_list(Path(ns.input).read_text())
-        code, document, table = _COMMANDS[ns.command](ns, graph)
+        code, document, table = _COMMANDS[ns.command][0](ns, graph)
     except (graphs.CapExceededError, graphs.GraphError, ValueError, KeyError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

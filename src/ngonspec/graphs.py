@@ -43,17 +43,11 @@ class Graph:
     def connected(self) -> bool:
         return self.components == 1
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 @dataclass(frozen=True)
 class GrowthCounts:
     """Exact vertex and edge counts of the g-fold transform."""
 
-    n: int
-    g: int
     vertices: int
     edges: int
 
@@ -172,7 +166,7 @@ def predict_counts(n0: int, e0: int, n: int, g: int) -> GrowthCounts:
         raise GraphError(f"generation must be nonnegative, got {g}")
     growth, remainder = divmod((n + 1) ** g - 1, n)
     assert remainder == 0  # geometric series, always divisible
-    return GrowthCounts(n, g, n0 + (n - 1) * growth * e0, (n + 1) ** g * e0)
+    return GrowthCounts(n0 + (n - 1) * growth * e0, (n + 1) ** g * e0)
 
 
 def iterate_transform(graph: Graph, n: int, g: int,

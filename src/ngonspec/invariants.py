@@ -22,17 +22,12 @@ from . import oracle
 from .graphs import Graph, predict_counts
 from .spectrum import ZERO_CODE, Spectrum, SpectrumContext
 
-METHOD_SPECTRUM = "from-spectrum"
-METHOD_CLOSED = "closed-form"
-
 
 @dataclass(frozen=True)
 class InvariantReport:
     kirchhoff_multiplicative: float | Fraction
     kemeny: float | Fraction
     spanning_trees: int | None
-    method: str
-    generation: int
 
 
 def _as_kind(value: Fraction, like):
@@ -48,16 +43,14 @@ def _running_sum(terms) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
-def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
-                             generation: int = 0) -> InvariantReport:
+def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext,
+                             product: int) -> InvariantReport:
     """Invariants straight from eigenvalue sums (binary64 arithmetic).
 
-    degrees may be the per-vertex degree sequence or the precomputed degree
-    product. The tree count from the eigenvalue product is advisory: it is
-    rounded from a float (None past float range) and is numerically
-    fragile for large graphs.
+    product is the graph's degree product. The tree count from the
+    eigenvalue product is advisory: it is rounded from a float (None past
+    float range) and is numerically fragile for large graphs.
     """
-    product = degrees if isinstance(degrees, int) else math.prod(degrees)
     zero = spec.sources == ZERO_CODE
     zero_mult = sum(spec.multiplicities[zero].tolist())
     if zero_mult != 1:
@@ -73,22 +66,11 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext, degrees,
         trees = round(math.exp(log_trees))
     except OverflowError:
         trees = None
-    return InvariantReport(kirchhoff, reciprocal, trees, METHOD_SPECTRUM,
-                           generation)
-
-
-def kirchhoff_step(kf0, n0: int, e0: int, n: int):
-    """One-generation closed form for the multiplicative Kirchhoff index."""
-    if n < 2:
-        raise ValueError(f"polygon parameter must be at least 2, got {n}")
-    extra = (Fraction(2 * (n + 1) * (n * n - 1), 3) * e0 * e0
-             - Fraction(2 * (n * n - 1), 3) * e0 * n0
-             - Fraction((n * n - 1) * (n - 2), 3) * e0)
-    return (n * n + n) * kf0 + _as_kind(extra, kf0)
+    return InvariantReport(kirchhoff, reciprocal, trees)
 
 
 def kirchhoff_closed(kf0, n0: int, e0: int, n: int, g: int):
-    """General-g closed form; g = 1 agrees with kirchhoff_step."""
+    """Multiplicative Kirchhoff index after g growth steps."""
     if n < 2:
         raise ValueError(f"polygon parameter must be at least 2, got {n}")
     if g < 1:
@@ -102,17 +84,8 @@ def kirchhoff_closed(kf0, n0: int, e0: int, n: int, g: int):
     return (n * n + n) ** g * kf0 + _as_kind(extra, kf0)
 
 
-def kemeny_step(k0, n0: int, e0: int, n: int):
-    """One-generation closed form for Kemeny's constant."""
-    if n < 2:
-        raise ValueError(f"polygon parameter must be at least 2, got {n}")
-    extra = (Fraction((n * n - 1) * e0, 3) - Fraction((n - 1) * n0, 3)
-             - Fraction((n - 1) * (n - 2), 6))
-    return n * k0 + _as_kind(extra, k0)
-
-
 def kemeny_closed(k0, n0: int, e0: int, n: int, g: int):
-    """General-g closed form; equals kirchhoff_closed / (2 E_g)."""
+    """Kemeny's constant after g steps; equals kirchhoff_closed / (2 E_g)."""
     if n < 2:
         raise ValueError(f"polygon parameter must be at least 2, got {n}")
     if g < 1:
@@ -125,17 +98,8 @@ def kemeny_closed(k0, n0: int, e0: int, n: int, g: int):
     return ng * k0 + _as_kind(extra, k0)
 
 
-def spanning_trees_step(nst0: int, n0: int, e0: int, n: int) -> int:
-    """One-generation spanning-tree count, exact."""
-    if n < 2:
-        raise ValueError(f"polygon parameter must be at least 2, got {n}")
-    if e0 < n0 - 1:
-        raise ValueError(f"counts N={n0}, E={e0} cannot be connected")
-    return (n + 1) ** (n0 - 1) * n ** (e0 - n0 + 1) * nst0
-
-
 def spanning_trees_closed(nst0: int, n0: int, e0: int, n: int, g: int) -> int:
-    """General-g spanning-tree count, exact; g = 1 agrees with the step form.
+    """Spanning-tree count after g growth steps, exact.
 
     Both exponents carry a division by n*n that is always exact; a failed
     divisibility check means the formula was fed inconsistent inputs.

@@ -232,7 +232,7 @@ def _modular_det(mat: np.ndarray, bound: int) -> int:
     return det
 
 
-def _reduced_laplacian(graph: Graph, drop: int, cap: int):
+def _reduced_laplacian(graph: Graph, drop: int):
     """The integer Laplacian without row and column drop; kept degrees.
 
     Both come in ascending kept-degree order (a stable sort), a symmetric
@@ -241,8 +241,9 @@ def _reduced_laplacian(graph: Graph, drop: int, cap: int):
     elimination runs as a series reduction with little fill.
     """
     count = graph.vertex_count
-    if count > cap:
-        raise CapExceededError(count, cap, "exact spanning-tree count")
+    if count > TREE_COUNT_CAP:
+        raise CapExceededError(count, TREE_COUNT_CAP,
+                               "exact spanning-tree count")
     if not graph.connected:
         raise GraphError("spanning trees need a connected graph")
     if not 0 <= drop < count:
@@ -256,15 +257,14 @@ def _reduced_laplacian(graph: Graph, drop: int, cap: int):
     return lap[np.ix_(kept, kept)], lap[kept, kept].tolist()
 
 
-def matrix_tree_count(graph: Graph, drop: int = 0,
-                      cap: int = TREE_COUNT_CAP) -> int:
+def matrix_tree_count(graph: Graph, drop: int = 0) -> int:
     """Exact spanning-tree count: one cofactor of the integer Laplacian.
 
     Any row/column index may be dropped; the result does not depend on the
     choice. The reduced Laplacian is positive definite, so Hadamard's
     inequality bounds its determinant by the product of the kept degrees.
     """
-    minor, kept = _reduced_laplacian(graph, drop, cap)
+    minor, kept = _reduced_laplacian(graph, drop)
     return _modular_det(minor, math.prod(kept))
 
 
@@ -277,7 +277,7 @@ def kirchhoff_tree_count(graph: Graph) -> tuple[Fraction, int]:
     eliminates [L0 | I] once; primes dividing tau are skipped. Resistances
     are below N, so the CRT bound is 2 E**2 N times Hadamard's bound on tau.
     """
-    minor, kept = _reduced_laplacian(graph, 0, TREE_COUNT_CAP)
+    minor, kept = _reduced_laplacian(graph, 0)
     edges, degrees = len(graph.edges), np.asarray(kept, dtype=np.int64)
     identity = np.eye(len(kept), dtype=np.int64)
 

@@ -21,7 +21,7 @@ from .graphs import Graph
 
 CLUSTER_TOL = 1e-7   # numeric eigenvalues closer than this merge
 SNAP_TOL = 1e-9      # distance at which a value snaps to exactly 0 or 2
-EDGE_TOL = 1e-12     # slack of the [0, 2] range; this close to 2 counts as 2
+EDGE_TOL = 1e-12     # slack of the [0, 2] range
 
 SOURCE_ZERO = "zero"
 SOURCE_TWO = "two"
@@ -32,17 +32,14 @@ SOURCE_LIFTED = "lifted"
 SOURCE_BASE = "base"
 
 
-def _is_two(value: float) -> bool:
-    return abs(value - 2.0) < EDGE_TOL
-
-
 # Source tags in alphabetical order: sorting by code sorts by tag.
 SOURCES = tuple(sorted((SOURCE_ZERO, SOURCE_TWO, SOURCE_FAMILY_ZERO,
                         SOURCE_FAMILY_PLUS, SOURCE_FAMILY_MINUS,
                         SOURCE_LIFTED, SOURCE_BASE)))
 _CODE = {tag: code for code, tag in enumerate(SOURCES)}
 _LIFTED = _CODE[SOURCE_LIFTED]
-ZERO_CODE = _CODE[SOURCE_ZERO]  # the eigenvalue 0 is its tag, not its size
+ZERO_CODE = _CODE[SOURCE_ZERO]  # 0 and 2 are their tags, not their sizes
+TWO_CODE = _CODE[SOURCE_TWO]
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ class Spectrum:
     values are float64, multiplicities Python ints in an object array (they
     outgrow 64 bits), sources codes into SOURCES, origins the base value
     behind a lifted row or -1.0. Rows sort by (value, source, origin) and
-    stay apart while their sources differ; merged() is the export view.
+    stay apart while their sources differ.
     """
 
     values: np.ndarray
@@ -115,17 +112,6 @@ class Spectrum:
         codes = self.sources.astype(np.intp)
         codes[lifted] = len(SOURCES) + slot
         return labels[codes].tolist()
-
-    def merged(self, tol: float = SNAP_TOL) -> list[tuple[float, int]]:
-        """(value, multiplicity) pairs with near-equal values collapsed."""
-        out: list[tuple[float, int]] = []
-        for value, mult in zip(self.values.tolist(),
-                               self.multiplicities.tolist()):
-            if out and value - out[-1][0] <= tol:
-                out[-1] = (out[-1][0], out[-1][1] + mult)
-            else:
-                out.append((value, mult))
-        return out
 
     def expanded(self) -> np.ndarray:
         """Every eigenvalue repeated by multiplicity (explicit sizes only)."""
@@ -229,7 +215,7 @@ def transform_spectrum(spec: Spectrum, ctx: SpectrumContext,
             continue
         family = roots.roots_of_family(roots.RootFamily(kind, n))
         blocks.append((np.array(family.roots), mult, tag))
-    inner = ~((spec.sources == ZERO_CODE) | _is_two(spec.values))
+    inner = (spec.sources != ZERO_CODE) & (spec.sources != TWO_CODE)
     lams = spec.values[inner]
     table = roots.solve_lambda_many(n, lams)
     # Each parent, a fixed block or one eigenvalue off {0, 2} with its row
@@ -264,15 +250,16 @@ def iterate_spectrum(spec: Spectrum, ctx: SpectrumContext, n: int,
     return spec, ctx
 
 
-def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu: float,
+def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu,
                      tol: float = 1e-8) -> np.ndarray:
     """Extend a base eigenvector with eigenvalue lam to the transformed graph.
 
-    mu must be a transfer root of lam with a_{n-1}(mu) != 0. Original
-    vertices keep their entries; each new path is seeded from its two
-    endpoint values (in random-walk scaling, hence the degree square
-    roots) and continued by the recurrence. The result is an eigenvector
-    of the transformed graph's normalized Laplacian for eigenvalue mu.
+    mu is one transfer root of lam, or a 1-D array of them, each with
+    a_{n-1}(mu) != 0. Original vertices keep their entries; each new path
+    is seeded from its two endpoint values (in random-walk scaling, hence
+    the degree square roots) and continued by the recurrence. The result
+    is an eigenvector of the transformed graph's normalized Laplacian for
+    eigenvalue mu, or a (k, N') block with one such vector per root.
     """
     if n < 2:
         raise ValueError(f"polygon parameter must be at least 2, got {n}")
@@ -286,20 +273,26 @@ def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu: float,
     residual = oracle.laplacian_matvec(graph, vec) - lam * vec
     if float(np.linalg.norm(residual)) > tol * norm:
         raise ValueError("(lam, vec) is not an eigenpair of the base graph")
-    a_last = aseries.eval_a(n - 1, float(mu))
-    if abs(a_last) < 1e-12:
+    mus = np.asarray(mu, dtype=float)
+    column = np.atleast_1d(mus)[:, None]  # one row per root
+    a_last = aseries.eval_a(n - 1, column)
+    if np.any(np.abs(a_last) < 1e-12):
         raise ValueError(
             "a_{n-1}(mu) vanishes; mu belongs to a fixed family, not a lift")
-    a_prev = aseries.eval_a(n - 2, float(mu))
+    a_prev = aseries.eval_a(n - 2, column)
     scale = 1.0 / np.sqrt(np.asarray(graph.degrees, dtype=float))
     i, j = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
-    # Row e holds edge e's path; each step runs on all paths at once.
-    paths = np.empty((len(i), n - 1))
+    # paths[s, r, e] is step s along edge e's path for root r; each step of
+    # the recurrence runs on all roots and edges at once.
+    paths = np.empty((n - 1, len(column), len(i)))
     seed = vec[i] * scale[i]
-    paths[:, 0] = (a_prev / a_last) * seed + vec[j] * scale[j] / a_last
-    step = 2.0 * (1.0 - mu)
+    paths[0] = (a_prev / a_last) * seed + vec[j] * scale[j] / a_last
+    step = 2.0 * (1.0 - column)
     if n >= 3:
-        paths[:, 1] = step * paths[:, 0] - seed
+        paths[1] = step * paths[0] - seed
     for k in range(2, n - 1):
-        paths[:, k] = step * paths[:, k - 1] - paths[:, k - 2]
-    return np.concatenate((vec, paths.ravel()))
+        paths[k] = step * paths[k - 1] - paths[k - 2]
+    lifted = np.concatenate(
+        (np.broadcast_to(vec, (len(column), len(vec))),
+         paths.transpose(1, 2, 0).reshape(len(column), -1)), axis=1)
+    return lifted if mus.ndim else lifted[0]

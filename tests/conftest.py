@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ngonspec import aseries, graphs
+from ngonspec import aseries, graphs, invariants, spectrum
 
 
 def complete_graph(nv):
@@ -202,3 +202,48 @@ def per_edge_lift(graph, n, vec, mu):
             for k in range(2, n - 1):
                 out[base + k] = step * out[base + k - 1] - out[base + k - 2]
     return out
+
+
+def merged(spec, tol=spectrum.SNAP_TOL):
+    """(value, multiplicity) pairs of a Spectrum with near-equal values
+    collapsed."""
+    out = []
+    for value, mult in zip(spec.values.tolist(),
+                           spec.multiplicities.tolist()):
+        if out and value - out[-1][0] <= tol:
+            out[-1] = (out[-1][0], out[-1][1] + mult)
+        else:
+            out.append((value, mult))
+    return out
+
+
+def kirchhoff_step(kf0, n0: int, e0: int, n: int):
+    """One-generation closed form for the multiplicative Kirchhoff index.
+
+    The reference that invariants.kirchhoff_closed must agree with when
+    iterated, and likewise kemeny_step and spanning_trees_step below.
+    """
+    if n < 2:
+        raise ValueError(f"polygon parameter must be at least 2, got {n}")
+    extra = (Fraction(2 * (n + 1) * (n * n - 1), 3) * e0 * e0
+             - Fraction(2 * (n * n - 1), 3) * e0 * n0
+             - Fraction((n * n - 1) * (n - 2), 3) * e0)
+    return (n * n + n) * kf0 + invariants._as_kind(extra, kf0)
+
+
+def kemeny_step(k0, n0: int, e0: int, n: int):
+    """One-generation closed form for Kemeny's constant."""
+    if n < 2:
+        raise ValueError(f"polygon parameter must be at least 2, got {n}")
+    extra = (Fraction((n * n - 1) * e0, 3) - Fraction((n - 1) * n0, 3)
+             - Fraction((n - 1) * (n - 2), 6))
+    return n * k0 + invariants._as_kind(extra, k0)
+
+
+def spanning_trees_step(nst0: int, n0: int, e0: int, n: int) -> int:
+    """One-generation spanning-tree count, exact."""
+    if n < 2:
+        raise ValueError(f"polygon parameter must be at least 2, got {n}")
+    if e0 < n0 - 1:
+        raise ValueError(f"counts N={n0}, E={e0} cannot be connected")
+    return (n + 1) ** (n0 - 1) * n ** (e0 - n0 + 1) * nst0

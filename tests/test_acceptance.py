@@ -132,8 +132,7 @@ def test_criterion_4_invariant_closed_forms(corpus):
                 spec_t, ctx_t = spectrum.transform_spectrum(spec_t, ctx_t, n)
                 measured = invariants.invariants_from_spectrum(
                     spec_t, ctx_t,
-                    invariants.degree_product_closed(product0, n0, e0, n, g),
-                    generation=g)
+                    invariants.degree_product_closed(product0, n0, e0, n, g))
                 kf_closed = invariants.kirchhoff_closed(kf0, n0, e0, n, g)
                 k_closed = invariants.kemeny_closed(k0, n0, e0, n, g)
                 worst = max(

@@ -234,6 +234,33 @@ def test_flag_errors_exit_one(tmp_path, capsys):
         capsys.readouterr()
 
 
+UNREAD_FLAGS = [
+    (["transform", "--output-format", "csv"], "unrecognized arguments"),
+    (["transform", "--tolerance", "1e-9"], "unrecognized arguments"),
+    (["spectrum", "--tolerance", "1e-9"], "unrecognized arguments"),
+    (["spectrum", "--explicit-cap", "10"], "unrecognized arguments"),
+    (["invariants", "--tolerance", "1e-9"], "unrecognized arguments"),
+    (["lift", "--g", "0"], "--g"),
+    (["lift", "--g", "2"], "--g")]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_FLAGS, ids=[
+    "-".join(word.lstrip("-") for word in argv) for argv, _ in UNREAD_FLAGS])
+def test_flags_a_subcommand_does_not_read_exit_one(tmp_path, capsys, argv,
+                                                    message):
+    # Each of these would otherwise run on the triangle and exit 0 with
+    # the flag ignored.
+    command, *flags = argv
+    path = write(tmp_path, "k3.txt", TRIANGLE)
+    if command == "lift":
+        flags += ["--eigenpair", write(tmp_path, "pair.json", json.dumps(
+            {"value": 1.5, "vector": [2, -1, -1]}))]
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, path, "--n", "3", *flags])
+    assert err.value.code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_json_list_with_a_table_or_dict_beside_scalars_renders_nested():
     table = cli.Table(("a", "b"), [[1, 2], [0.5, "x"]])
     text = cli._json_text({"items": [1.5, table, {"c": None}, "s"]})

@@ -83,7 +83,7 @@ def high_n_base():
 CORPUS = ("", build_corpus, range(2, 8))
 HIGH_N = ("high-n", high_n_base, (10, 16, 22, 32))
 # (command with its flags, output formats, variants, bases); transform
-# ignores the output format, so its keys carry none. verify stops at
+# has no output format, so its keys carry none. verify stops at
 # g = 1: g = 2 builds and eigensolves graphs of up to 820 vertices, and
 # one format of it takes about 10 s against 0.7 s for g in 0..1. lift
 # always grows one step, so its variants are eigenpairs instead of

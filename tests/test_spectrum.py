@@ -6,8 +6,9 @@ import pytest
 
 from ngonspec import graphs, oracle, roots, spectrum
 
-from conftest import (build_corpus, complete_graph, cycle_graph, path_graph,
-                      per_edge_lift, random_connected_graph, star_graph)
+from conftest import (build_corpus, complete_graph, cycle_graph, merged,
+                      path_graph, per_edge_lift, random_connected_graph,
+                      star_graph)
 
 
 def entry_tuples(spec, digits=10):
@@ -42,7 +43,7 @@ def test_transform_triangle_worked_example():
     assert entry_tuples(out) == [(0.0, 1, "zero"), (0.75, 2, "lifted"),
                                  (1.5, 3, "family-plus")]
     assert out.source_labels()[1] == "lifted(1.5)"
-    assert out.merged() == [(0.0, 1), (0.75, 2), (1.5, 3)]
+    assert merged(out) == [(0.0, 1), (0.75, 2), (1.5, 3)]
     assert out_ctx == spectrum.SpectrumContext(6, 9, False)
 
 
@@ -79,11 +80,25 @@ def test_bipartite_symmetry_survives_odd_growth():
     spec, ctx = spectrum.base_spectrum(cycle_graph(4))
     out, out_ctx = spectrum.iterate_spectrum(spec, ctx, 3, 2)
     assert out_ctx.bipartite
-    pairs = out.merged(1e-9)
+    pairs = merged(out, 1e-9)
     mirrored = sorted((2.0 - v, m) for v, m in pairs)
     for (v, m), (w, k) in zip(pairs, mirrored):
         assert abs(v - w) < 1e-9
         assert m == k
+
+
+def test_values_near_two_are_lifted_unless_tagged_two():
+    # Only the row tagged two is the eigenvalue 2, as only the row tagged
+    # zero is 0; a base value 1e-13 below 2 has transfer roots of its own.
+    spec = spectrum.Spectrum.from_entries([
+        spectrum.SpectrumEntry(0.0, 1, "zero"),
+        spectrum.SpectrumEntry(1.5, 1, "base"),
+        spectrum.SpectrumEntry(2.0 - 1e-13, 1, "base")])
+    ctx = spectrum.SpectrumContext(3, 3, False)
+    for _ in range(2):
+        spec, ctx = spectrum.transform_spectrum(spec, ctx, 3)
+        assert spec.total_multiplicity == ctx.vertices
+    assert ctx.vertices == 3 + 2 * 3 + 2 * 12
 
 
 def test_even_growth_removes_top_eigenvalue():
@@ -225,9 +240,20 @@ def test_lift_rejects_bad_input():
         spectrum.lift_eigenvector(k3, 2, lam, vec, 1.0)
 
 
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_lift_rejects_a_family_root_anywhere_in_the_block(at):
+    c5 = cycle_graph(5)
+    lam, vec = eigenpair(c5, 1)
+    mus = roots.solve_lambda_many(4, [lam])[0]
+    block = np.insert(mus, at, 1.0)  # a_3(1) = U_3(0) = 0
+    with pytest.raises(ValueError, match="fixed family"):
+        spectrum.lift_eigenvector(c5, 4, lam, vec, block)
+
+
 def assert_lift_matches_per_edge(graph, ns, stride=1):
     """lift_eigenvector has the reference's bits for every transfer root of
-    every stride-th eigenpair off {0, 2}; returns the number of lifts."""
+    every stride-th eigenpair off {0, 2}, one root at a time and as one
+    block of all roots; returns the number of lifts."""
     lap = oracle.normalized_laplacian(graph).entries
     values, vectors = np.linalg.eigh(lap)
     inner = [k for k, value in enumerate(values.tolist())
@@ -236,9 +262,14 @@ def assert_lift_matches_per_edge(graph, ns, stride=1):
     for k in inner[::stride]:
         lam, vec = float(values[k]), vectors[:, k]
         for n in ns:
-            for mu in roots.solve_lambda_many(n, [lam])[0].tolist():
+            mus = roots.solve_lambda_many(n, [lam])[0]
+            block = spectrum.lift_eigenvector(graph, n, lam, vec, mus)
+            assert block.shape == (
+                len(mus), graph.vertex_count + (n - 1) * len(graph.edges))
+            for row, mu in zip(block, mus.tolist()):
                 got = spectrum.lift_eigenvector(graph, n, lam, vec, mu)
                 assert np.array_equal(got, per_edge_lift(graph, n, vec, mu))
+                assert np.array_equal(row, got)
                 lifts += 1
     return lifts
 
