@@ -8,7 +8,7 @@ degree-Kirchhoff index, Kemeny's constant, spanning-tree count), and
 cross-checks everything against a brute-force oracle.
 """
 
-from .aseries import ASeriesPoly, coeffs_a, eval_a, linear_combination
+from .aseries import coeffs_a, eval_a, linear_combination
 from .graphs import (CapExceededError, Graph, GraphError, GrowthCounts,
                      iterate_transform, make_graph, parse_edge_list,
                      polygon_transform, predict_counts)
@@ -19,7 +19,7 @@ from .invariants import (InvariantReport, degree_product,
 from .oracle import (ComparisonReport, DenseSymMatrix, compare_spectra,
                      eig_sym, laplacian_matvec, matrix_tree_count,
                      normalized_laplacian)
-from .roots import (FamilyKind, RootFamily, RootIsolationError, RootSet,
+from .roots import (FamilyKind, RootFamily, RootIsolationError,
                     family_polynomial, lambda_polynomial, roots_of_family,
                     solve_lambda_equation, solve_lambda_many, vieta_sums)
 from .spectrum import (Spectrum, SpectrumContext, SpectrumEntry,
@@ -29,17 +29,17 @@ from .spectrum import (Spectrum, SpectrumContext, SpectrumEntry,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASeriesPoly", "CapExceededError", "ComparisonReport", "DenseSymMatrix",
-    "FamilyKind", "Graph", "GraphError", "GrowthCounts", "InvariantReport",
-    "RootFamily", "RootIsolationError", "RootSet", "Spectrum",
-    "SpectrumContext", "SpectrumEntry", "base_spectrum", "coeffs_a",
-    "compare_spectra", "degree_product", "degree_product_closed", "eig_sym",
-    "eval_a", "exact_invariants", "family_polynomial",
-    "invariants_from_spectrum", "iterate_spectrum", "iterate_transform",
-    "kemeny_closed", "kirchhoff_closed", "lambda_polynomial",
-    "laplacian_matvec", "lift_eigenvector", "linear_combination",
-    "make_graph", "matrix_tree_count", "normalized_laplacian",
-    "parse_edge_list", "polygon_transform", "predict_counts",
-    "roots_of_family", "solve_lambda_equation", "solve_lambda_many",
-    "spanning_trees_closed", "transform_spectrum", "vieta_sums",
+    "CapExceededError", "ComparisonReport", "DenseSymMatrix", "FamilyKind",
+    "Graph", "GraphError", "GrowthCounts", "InvariantReport", "RootFamily",
+    "RootIsolationError", "Spectrum", "SpectrumContext", "SpectrumEntry",
+    "base_spectrum", "coeffs_a", "compare_spectra", "degree_product",
+    "degree_product_closed", "eig_sym", "eval_a", "exact_invariants",
+    "family_polynomial", "invariants_from_spectrum", "iterate_spectrum",
+    "iterate_transform", "kemeny_closed", "kirchhoff_closed",
+    "lambda_polynomial", "laplacian_matvec", "lift_eigenvector",
+    "linear_combination", "make_graph", "matrix_tree_count",
+    "normalized_laplacian", "parse_edge_list", "polygon_transform",
+    "predict_counts", "roots_of_family", "solve_lambda_equation",
+    "solve_lambda_many", "spanning_trees_closed", "transform_spectrum",
+    "vieta_sums",
 ]

@@ -10,20 +10,7 @@ family and transfer polynomial built downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class ASeriesPoly:
-    """Exact integer coefficients of a_n, ascending powers; empty for n = -1."""
-
-    n: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def eval_a(n: int, mu):
@@ -44,8 +31,8 @@ def eval_a(n: int, mu):
     return cur
 
 
-def coeffs_a(n: int) -> ASeriesPoly:
-    """Exact integer coefficient vector of a_n (n = -1 is the zero polynomial)."""
+def coeffs_a(n: int) -> tuple[int, ...]:
+    """Exact integer coefficients of a_n, ascending powers; () for n = -1."""
     if n < -1:
         raise ValueError(f"index must be >= -1, got {n}")
     prev: list[int] = []  # a_{-1}
@@ -58,7 +45,7 @@ def coeffs_a(n: int) -> ASeriesPoly:
         for i, c in enumerate(prev):
             nxt[i] -= c
         prev, cur = cur, nxt
-    return ASeriesPoly(n, tuple(prev if n == -1 else cur))
+    return tuple(prev if n == -1 else cur)
 
 
 def linear_combination(terms) -> list[Fraction]:
@@ -70,10 +57,10 @@ def linear_combination(terms) -> list[Fraction]:
     out: list[Fraction] = []
     for coeff, index in terms:
         poly = coeffs_a(index)
-        if len(poly.coeffs) > len(out):
-            out.extend([Fraction(0)] * (len(poly.coeffs) - len(out)))
+        if len(poly) > len(out):
+            out.extend([Fraction(0)] * (len(poly) - len(out)))
         factor = Fraction(coeff)
-        for i, c in enumerate(poly.coeffs):
+        for i, c in enumerate(poly):
             out[i] += factor * c
     while out and out[-1] == 0:
         out.pop()

@@ -127,7 +127,13 @@ def parse_edge_list(text: str) -> Graph:
         pairs.append((u, v))
     if not pairs:
         raise GraphError("empty edge set")
-    count = max(max(u, v) for u, v in pairs) + 1
+    # An unused id below the largest is found before anything of the
+    # count's size is allocated, so a stray huge id costs nothing.
+    used = {vertex for pair in pairs for vertex in pair}
+    count = max(used) + 1
+    if count > len(used):
+        missing = next(k for k in range(count) if k not in used)
+        raise GraphError(f"vertex {missing} has no edges")
     graph = make_graph(count, pairs)
     if not graph.connected:
         raise GraphError(
@@ -142,18 +148,29 @@ def polygon_transform(graph: Graph, n: int) -> Graph:
     order receive ids vertex_count + e*(n-1) + k for k = 0..n-2, walking
     from i towards j. The labeling is deterministic so eigenvector indexing
     can rely on it.
+
+    The flags follow from the growth law, so nothing is searched for: every
+    old degree doubles, every path vertex has degree 2, the result stays
+    connected, and it is bipartite exactly when the input is and n is odd
+    (each new cycle has n + 1 edges).
     """
     if n < 2:
         raise GraphError(f"polygon parameter must be at least 2, got {n}")
     if not graph.connected:
         raise GraphError("transform requires a connected graph")
     base = graph.vertex_count
+    added = (n - 1) * len(graph.edges)
     new_edges = list(graph.edges)
     for e, (i, j) in enumerate(graph.edges):
         first = base + e * (n - 1)
-        path = [i] + [first + k for k in range(n - 1)] + [j]
-        new_edges.extend(zip(path, path[1:]))
-    return make_graph(base + (n - 1) * len(graph.edges), new_edges)
+        last = first + n - 2
+        new_edges.append((i, first))
+        new_edges.extend((k, k + 1) for k in range(first, last))
+        new_edges.append((j, last))
+    new_edges.sort()
+    return Graph(base + added, tuple(new_edges),
+                 tuple(2 * d for d in graph.degrees) + (2,) * added,
+                 graph.bipartite and n % 2 == 1, 1)
 
 
 def predict_counts(n0: int, e0: int, n: int, g: int) -> GrowthCounts:

@@ -39,6 +39,7 @@ TREE_COUNT_CAP = 400
 PRIME_LIMIT = 2 ** 26       # moduli stay below this, so p**2 < 2**52
 MAX_MODULAR_ORDER = 2048    # order * p**2 must stay below 2**63
 MODULAR_BATCH_BYTES = 2 ** 24  # cap on one batch's (P, n, n + m) int64 array
+SYMMETRY_BLOCK_ROWS = 256   # rows per block of eig_sym's symmetry check
 _PRIMES: list[int] = []     # filled on first use, not at import
 _ODD_PRIMES_TO_47 = 307444891294245705  # 3 * 5 * 7 * ... * 47
 
@@ -65,8 +66,8 @@ def normalized_laplacian(graph: Graph) -> DenseSymMatrix:
     mat = np.zeros((count, count))
     np.fill_diagonal(mat, 1.0)
     scale = 1.0 / np.sqrt(np.asarray(graph.degrees, dtype=float))
-    for u, v in graph.edges:
-        mat[u, v] = mat[v, u] = -scale[u] * scale[v]
+    u, v = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    mat[u, v] = mat[v, u] = -scale[u] * scale[v]
     return DenseSymMatrix(count, mat)
 
 
@@ -97,9 +98,13 @@ def eig_sym(matrix: DenseSymMatrix) -> np.ndarray:
     if m.shape != (matrix.order, matrix.order):
         raise ValueError(
             f"entries shape {m.shape} does not match order {matrix.order}")
-    scale = max(1.0, float(np.max(np.abs(m), initial=0.0)))
-    if float(np.max(np.abs(m - m.T), initial=0.0)) > 1e-14 * scale:
-        raise ValueError("matrix is not symmetric")
+    # max |m| and the symmetry check without an N x N temporary
+    scale = max(1.0, float(m.max(initial=0.0)), -float(m.min(initial=0.0)))
+    for start in range(0, len(m), SYMMETRY_BLOCK_ROWS):
+        rows = slice(start, start + SYMMETRY_BLOCK_ROWS)
+        gap = m[rows] - m[:, rows].T
+        if float(np.max(np.abs(gap, out=gap), initial=0.0)) > 1e-14 * scale:
+            raise ValueError("matrix is not symmetric")
     return np.linalg.eigvalsh(m)
 
 

@@ -58,26 +58,13 @@ class RootFamily:
             raise ValueError(f"family {self.kind.value} does not match n={self.n}")
 
 
-@dataclass(frozen=True)
-class RootSet:
-    """Sorted real roots of one polynomial, with checksums over the roots."""
-
-    label: str
-    roots: tuple[float, ...]
-    reciprocal_sum: float
-    product: float
-
-
-def _checksummed(label: str, roots) -> RootSet:
-    ordered = tuple(sorted(float(r) for r in roots))
-    outside = [r for r in ordered if not 0.0 < r < 2.0]
-    if outside:
-        raise RootIsolationError(f"roots of {label} escaped (0, 2): {outside}")
-    reciprocal = sum(1.0 / r for r in ordered)
-    product = 1.0
-    for r in ordered:
-        product *= r
-    return RootSet(label, ordered, reciprocal, product)
+def _inside(label: str, roots: np.ndarray) -> np.ndarray:
+    """roots itself, once every root is known to lie strictly inside (0, 2)."""
+    outside = roots[~((roots > 0.0) & (roots < 2.0))]
+    if outside.size:
+        raise RootIsolationError(
+            f"roots of {label} escaped (0, 2): {outside.tolist()}")
+    return roots
 
 
 def family_polynomial(family: RootFamily) -> list[Fraction]:
@@ -146,15 +133,15 @@ def _family_form(kind: FamilyKind, m: int):
     }[kind]
 
 
-def roots_of_family(family: RootFamily) -> RootSet:
-    """All real roots of the family polynomial, from their closed forms."""
+def roots_of_family(family: RootFamily) -> np.ndarray:
+    """All real roots of the family polynomial, ascending, from closed forms."""
     p, o, q, top, pair, diff = _family_form(family.kind, family.n // 2)
     theta = (p * np.arange(1, top + 1) - o) * np.pi / q
     half_gap = 0.5 * p * np.pi / q
     roots = _polish(_x_of_theta(theta), _x_of_theta(theta - half_gap),
                     _x_of_theta(theta + half_gap),  # (a, a') or (d, d'):
                     lambda x: _recurrence(x, top, pair)[diff::2])
-    return _checksummed(f"{family.kind.value} n={family.n}", roots)
+    return _inside(f"{family.kind.value} n={family.n}", roots)
 
 
 def lambda_polynomial(n: int, lam) -> list[Fraction]:
@@ -246,10 +233,10 @@ def solve_lambda_many(n: int, lams) -> np.ndarray:
                    _x_of_theta(edges[1:]), value)
 
 
-def solve_lambda_equation(n: int, lam) -> RootSet:
-    """All transfer-equation roots for one eigenvalue, sorted, inside (0, 2)."""
-    row = solve_lambda_many(n, [float(lam)])[0]
-    return _checksummed(f"lambda={float(lam):.17g} n={n}", row)
+def solve_lambda_equation(n: int, lam) -> np.ndarray:
+    """All transfer-equation roots for one eigenvalue, ascending, in (0, 2)."""
+    return _inside(f"lambda={float(lam):.17g} n={n}",
+                   solve_lambda_many(n, [float(lam)])[0])
 
 
 def vieta_sums(poly) -> tuple[Fraction, Fraction]:

@@ -213,8 +213,8 @@ def transform_spectrum(spec: Spectrum, ctx: SpectrumContext,
             raise ValueError(f"negative multiplicity {mult} for {tag}")
         if mult == 0:
             continue
-        family = roots.roots_of_family(roots.RootFamily(kind, n))
-        blocks.append((np.array(family.roots), mult, tag))
+        blocks.append((roots.roots_of_family(roots.RootFamily(kind, n)),
+                       mult, tag))
     inner = (spec.sources != ZERO_CODE) & (spec.sources != TWO_CODE)
     lams = spec.values[inner]
     table = roots.solve_lambda_many(n, lams)

@@ -44,6 +44,35 @@ def random_connected_graph(rng, nv, extra):
     return graphs.make_graph(nv, edges)
 
 
+def laplacian_by_edge(graph):
+    """Dense normalized Laplacian written one edge at a time.
+
+    The reference for oracle.normalized_laplacian, which writes every
+    edge's entry, the same single product, in one indexed assignment.
+    """
+    mat = np.identity(graph.vertex_count)
+    scale = 1.0 / np.sqrt(np.asarray(graph.degrees, dtype=float))
+    for u, v in graph.edges:
+        mat[u, v] = mat[v, u] = -scale[u] * scale[v]
+    return mat
+
+
+def grown_by_make_graph(graph, n):
+    """One growth step with every edge passed through make_graph.
+
+    The reference for graphs.polygon_transform, which writes the same
+    edges and takes its degrees and flags from the growth law instead of
+    searching the grown graph for them.
+    """
+    base = graph.vertex_count
+    new_edges = list(graph.edges)
+    for e, (i, j) in enumerate(graph.edges):
+        first = base + e * (n - 1)
+        path = [i] + [first + k for k in range(n - 1)] + [j]
+        new_edges.extend(zip(path, path[1:]))
+    return graphs.make_graph(base + (n - 1) * len(graph.edges), new_edges)
+
+
 def build_corpus():
     corpus = {
         "K2": complete_graph(2),
@@ -202,6 +231,15 @@ def per_edge_lift(graph, n, vec, mu):
             for k in range(2, n - 1):
                 out[base + k] = step * out[base + k - 1] - out[base + k - 2]
     return out
+
+
+def root_checksums(roots):
+    """(sum of reciprocals, product) of a root array, left to right.
+
+    The float side of the Vieta checks; the exact side is roots.vieta_sums.
+    """
+    values = roots.tolist()
+    return sum(1.0 / r for r in values), math.prod(values, start=1.0)
 
 
 def merged(spec, tol=spectrum.SNAP_TOL):

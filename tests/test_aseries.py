@@ -11,7 +11,7 @@ from conftest import poly_mul
 
 
 def coeffs(n):
-    return aseries.coeffs_a(n).coeffs
+    return aseries.coeffs_a(n)
 
 
 def eval_coeffs(vec, x):
@@ -124,5 +124,5 @@ def test_linear_combination_examples():
 
 
 def test_poly_objects_report_degree():
-    assert aseries.coeffs_a(4).degree == 4
-    assert aseries.coeffs_a(-1).degree == -1
+    assert len(aseries.coeffs_a(4)) - 1 == 4
+    assert len(aseries.coeffs_a(-1)) - 1 == -1

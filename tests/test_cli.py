@@ -2,7 +2,11 @@ import ast
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +217,34 @@ def test_parse_failures_exit_one(tmp_path, capsys):
     not_text.write_bytes(b"\xff\xfe")
     assert cli.main(["spectrum", str(not_text), "--n", "2"]) == 1
     assert "can't decode" in capsys.readouterr().err
+
+
+# The child limits its own address space to 2 GB before it loads the
+# package, so a count-sized allocation fails there instead of filling memory.
+LIMITED_CLI = ("import resource, runpy; "
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "runpy.run_module('ngonspec', run_name='__main__')")
+
+
+def run_cli_process(argv):
+    """(exit code, stderr, seconds) of the CLI in its own limited process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", LIMITED_CLI, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    return done.returncode, done.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("largest", [1_000_000_000, 2_000_000])
+def test_one_line_file_with_a_huge_id_exits_one_at_once(tmp_path, largest):
+    path = write(tmp_path, "huge.txt", f"0 {largest}\n")
+    code, err, seconds = run_cli_process(["spectrum", path, "--n", "2"])
+    assert (code, err) == (1, "error: vertex 1 has no edges\n")
+    assert seconds < 1.0
 
 
 def test_flag_errors_exit_one(tmp_path, capsys):

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
 from ngonspec import graphs
 
-from conftest import cycle_graph, complete_graph, path_graph
+from conftest import (build_corpus, cycle_graph, complete_graph,
+                      grown_by_make_graph, path_graph, random_connected_graph)
+
+LAW_BASES = {**build_corpus(),
+             "R40": random_connected_graph(random.Random(40), 40, 20)}
 
 
 def test_make_graph_normalizes_edges():
@@ -91,6 +97,32 @@ def test_transform_bipartite_parity(n, expect):
 def test_transform_never_bipartite_from_odd_cycle():
     for n in range(2, 6):
         assert not graphs.polygon_transform(cycle_graph(5), n).bipartite
+
+
+@pytest.mark.parametrize("name", sorted(LAW_BASES))
+def test_transform_from_the_growth_law_equals_make_graph(name):
+    for n in range(2, 8):
+        law = reference = LAW_BASES[name]
+        for _ in range(2):
+            law = graphs.polygon_transform(law, n)
+            reference = grown_by_make_graph(reference, n)
+            assert law == reference, (name, n)
+
+
+def test_iterate_transform_never_calls_make_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("make_graph called")
+    monkeypatch.setattr(graphs, "make_graph", refuse)
+    for graph in LAW_BASES.values():
+        for n in range(2, 8):
+            grown = graphs.iterate_transform(graph, n, 2)
+            assert grown.vertex_count == graphs.predict_counts(
+                graph.vertex_count, len(graph.edges), n, 2).vertices
+
+
+def test_parse_names_the_smallest_unused_id():
+    with pytest.raises(graphs.GraphError, match="^vertex 3 has no edges$"):
+        graphs.parse_edge_list("0 1\n1 2\n2 4\n6 0\n")
 
 
 @pytest.mark.parametrize("n,g", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1)])

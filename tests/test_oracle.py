@@ -14,8 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from ngonspec import graphs, invariants, oracle
 
 from conftest import (bareiss_det, bareiss_tree_count, complete_graph,
-                      cycle_graph, path_graph, petersen_graph,
-                      random_connected_graph, star_graph)
+                      cycle_graph, laplacian_by_edge, path_graph,
+                      petersen_graph, random_connected_graph, star_graph)
 
 
 def test_laplacian_entries():
@@ -26,6 +26,13 @@ def test_laplacian_entries():
     assert np.allclose(np.diag(lap), 1.0)
     assert abs(lap[0, 1] + 1 / math.sqrt(2)) < 1e-15
     assert lap[0, 2] == 0.0
+
+
+def test_laplacian_equals_the_per_edge_reference_bit_for_bit(corpus):
+    for graph in corpus.values():
+        for grown in (graph, graphs.polygon_transform(graph, 3)):
+            got = oracle.normalized_laplacian(grown).entries
+            assert np.array_equal(got, laplacian_by_edge(grown))
 
 
 def test_laplacian_matvec_matches_dense(corpus):
@@ -79,6 +86,16 @@ def test_eig_validation():
     skew = oracle.DenseSymMatrix(2, np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(ValueError):
         oracle.eig_sym(skew)
+
+
+def test_eig_checks_symmetry_past_the_first_row_block():
+    order = oracle.SYMMETRY_BLOCK_ROWS + 44
+    late = np.identity(order)
+    late[order - 1, order - 2] = 1e-13  # both indices in the second block
+    with pytest.raises(ValueError, match="not symmetric"):
+        oracle.eig_sym(oracle.DenseSymMatrix(order, late))
+    late[order - 2, order - 1] = 1e-13
+    assert oracle.eig_sym(oracle.DenseSymMatrix(order, late)).shape == (order,)
 
 
 def test_eig_range_and_trace():

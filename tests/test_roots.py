@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ngonspec import aseries, roots
 from ngonspec.roots import FamilyKind, RootFamily
 
+from conftest import root_checksums
+
 
 def trig_roots(kind, n):
     """Independent closed-form root locations, from the sine quotient form."""
@@ -74,18 +76,18 @@ def test_family_parity_guard():
 
 
 def test_worked_family_roots():
-    assert roots.roots_of_family(RootFamily(FamilyKind.EVEN_PLUS, 2)).roots \
-        == (1.5,)
-    assert roots.roots_of_family(RootFamily(FamilyKind.EVEN_ZERO, 2)).roots \
-        == ()
-    got = roots.roots_of_family(RootFamily(FamilyKind.EVEN_MINUS, 4)).roots
+    assert roots.roots_of_family(
+        RootFamily(FamilyKind.EVEN_PLUS, 2)).tolist() == [1.5]
+    assert roots.roots_of_family(
+        RootFamily(FamilyKind.EVEN_ZERO, 2)).tolist() == []
+    got = roots.roots_of_family(RootFamily(FamilyKind.EVEN_MINUS, 4))
     assert np.allclose(got, [1 - math.sqrt(2) / 2, 1 + math.sqrt(2) / 2])
 
 
 @pytest.mark.parametrize("kind", list(FamilyKind))
 def test_roots_match_trigonometric_oracle(kind):
     for n in matching_n(kind):
-        got = roots.roots_of_family(RootFamily(kind, n)).roots
+        got = roots.roots_of_family(RootFamily(kind, n))
         want = sorted(trig_roots(kind, n))
         assert len(got) == len(want)
         assert np.max(np.abs(np.array(got) - np.array(want)),
@@ -99,15 +101,15 @@ def test_family_vieta_identities(kind):
         recip, prod = roots.vieta_sums(roots.family_polynomial(family))
         want_recip, want_prod = VIETA_FAMILY[kind](n)
         assert (recip, prod) == (want_recip, want_prod)
-        got = roots.roots_of_family(family)
-        assert abs(got.reciprocal_sum - want_recip) < 1e-10
-        assert abs(got.product - want_prod) < 1e-10
+        got_recip, got_prod = root_checksums(roots.roots_of_family(family))
+        assert abs(got_recip - want_recip) < 1e-10
+        assert abs(got_prod - want_prod) < 1e-10
 
 
 @pytest.mark.parametrize("kind,n", [(FamilyKind.ODD_ZERO, 15),
                                     (FamilyKind.EVEN_PLUS, 14)])
 def test_value_checks_at_plus_family_roots(kind, n):
-    for mu in roots.roots_of_family(RootFamily(kind, n)).roots:
+    for mu in roots.roots_of_family(RootFamily(kind, n)).tolist():
         assert abs(aseries.eval_a(n - 1, mu) + 1) < 1e-10
         assert abs(aseries.eval_a(n - 2, mu) + 2 * (1 - mu)) < 1e-10
 
@@ -116,8 +118,37 @@ def test_value_checks_at_plus_family_roots(kind, n):
     (FamilyKind.ODD_MINUS, 15, 1), (FamilyKind.EVEN_MINUS, 14, 1),
     (FamilyKind.ODD_PLUS, 15, -1), (FamilyKind.EVEN_ZERO, 14, -1)])
 def test_value_checks_at_minus_family_roots(kind, n, value):
-    for mu in roots.roots_of_family(RootFamily(kind, n)).roots:
+    for mu in roots.roots_of_family(RootFamily(kind, n)).tolist():
         assert abs(aseries.eval_a(n - 2, mu) - value) < 1e-10
+
+
+def test_roots_come_as_ascending_float64_arrays():
+    for kind in FamilyKind:
+        for n in range(3 if kind.odd else 2, 65, 2):
+            got = roots.roots_of_family(RootFamily(kind, n))
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == (len(trig_roots(kind, n)),)
+            assert np.all(np.diff(got) > 0), (kind, n)
+    for n in range(2, 65):
+        got = roots.solve_lambda_equation(n, 0.7)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == ((n + 1) // 2,)
+        assert np.all(np.diff(got) > 0), n
+
+
+def test_a_root_outside_the_open_interval_is_named(monkeypatch):
+    monkeypatch.setattr(roots, "solve_lambda_many",
+                        lambda n, lams: np.array([[2.5]]))
+    with pytest.raises(roots.RootIsolationError,
+                       match=r"^roots of lambda=1\.5 n=2 escaped \(0, 2\): "
+                             r"\[2\.5\]$"):
+        roots.solve_lambda_equation(2, 1.5)
+    monkeypatch.setattr(roots, "_polish",
+                        lambda x, lo, hi, value: np.full_like(x, 2.0))
+    with pytest.raises(roots.RootIsolationError,
+                       match=r"^roots of odd-zero n=3 escaped \(0, 2\): "
+                             r"\[2\.0\]$"):
+        roots.roots_of_family(RootFamily(FamilyKind.ODD_ZERO, 3))
 
 
 def test_transfer_polynomial_coefficients():
@@ -143,18 +174,18 @@ def test_solve_halves_the_eigenvalue_for_triangle_growth():
     rng = random.Random(23)
     for _ in range(20):
         lam = rng.uniform(0.01, 1.99)
-        got = roots.solve_lambda_equation(2, lam).roots
+        got = roots.solve_lambda_equation(2, lam).tolist()
         assert len(got) == 1
         assert abs(got[0] - lam / 2) < 1e-12
 
 
 def test_solve_exact_grid_hit():
     # root 0.75 lands exactly on the sample grid
-    assert roots.solve_lambda_equation(2, 1.5).roots == (0.75,)
+    assert roots.solve_lambda_equation(2, 1.5).tolist() == [0.75]
 
 
 def test_solve_known_quadratic():
-    got = roots.solve_lambda_equation(3, 1.5).roots
+    got = roots.solve_lambda_equation(3, 1.5)
     want = ((9 - math.sqrt(33)) / 8, (9 + math.sqrt(33)) / 8)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -181,7 +212,7 @@ def test_batched_solver_matches_scalar():
         batch = roots.solve_lambda_many(n, lams)
         assert batch.shape == (42, (n + 1) // 2)
         for row, lam in zip(batch, lams):
-            assert np.allclose(row, roots.solve_lambda_equation(n, lam).roots,
+            assert np.allclose(row, roots.solve_lambda_equation(n, lam),
                                atol=1e-12)
 
 
@@ -203,13 +234,13 @@ def test_transfer_roots_properties(n, lams):
     for row, lam in zip(batch, lams):
         assert np.all(np.diff(row) > 0)
         assert np.all((row > 0) & (row < 2))
-        assert tuple(row.tolist()) == roots.solve_lambda_equation(n, lam).roots
+        assert row.tolist() == roots.solve_lambda_equation(n, lam).tolist()
 
 
 @PROPERTY
 @given(n=st.integers(2, 12), lam=LAMBDAS)
 def test_transfer_roots_match_exact_vieta_sums(n, lam):
-    got = roots.solve_lambda_equation(n, lam)
+    got_recip, got_prod = root_checksums(roots.solve_lambda_equation(n, lam))
     recip, prod = roots.vieta_sums(roots.lambda_polynomial(n, lam))
-    assert abs(got.reciprocal_sum - recip) <= 1e-10 * recip
-    assert abs(got.product - prod) <= 1e-10 * prod
+    assert abs(got_recip - recip) <= 1e-10 * recip
+    assert abs(got_prod - prod) <= 1e-10 * prod

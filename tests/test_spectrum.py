@@ -209,7 +209,7 @@ def test_lift_all_transfer_roots_of_a_cycle():
     lap = oracle.normalized_laplacian(grown).entries
     for index in (1, 3):
         lam, vec = eigenpair(c5, index)
-        for mu in roots.solve_lambda_equation(3, lam).roots:
+        for mu in roots.solve_lambda_equation(3, lam).tolist():
             out = spectrum.lift_eigenvector(c5, 3, lam, vec, mu)
             residual = np.linalg.norm(lap @ out - mu * out) \
                 / np.linalg.norm(out)
@@ -220,7 +220,7 @@ def test_lift_is_linear_in_the_eigenvector():
     from ngonspec import roots
     k4 = complete_graph(4)
     lam, vec = eigenpair(k4, 2)
-    mu = roots.solve_lambda_equation(5, lam).roots[0]
+    mu = roots.solve_lambda_equation(5, lam).tolist()[0]
     single = spectrum.lift_eigenvector(k4, 5, lam, vec, mu)
     doubled = spectrum.lift_eigenvector(k4, 5, lam, 2.0 * vec, mu)
     assert np.allclose(doubled, 2.0 * single, atol=1e-13)
