@@ -11,7 +11,7 @@ cross-checks everything against a brute-force oracle.
 from .aseries import coeffs_a, eval_a, linear_combination
 from .graphs import (CapExceededError, Graph, GraphError, GrowthCounts,
                      iterate_transform, make_graph, parse_edge_list,
-                     polygon_transform, predict_counts)
+                     polygon_transform)
 from .invariants import (InvariantReport, degree_product,
                          degree_product_closed, exact_invariants,
                          invariants_from_spectrum, kemeny_closed,
@@ -22,24 +22,22 @@ from .oracle import (ComparisonReport, DenseSymMatrix, compare_spectra,
 from .roots import (FamilyKind, RootFamily, RootIsolationError,
                     family_polynomial, lambda_polynomial, roots_of_family,
                     solve_lambda_equation, solve_lambda_many, vieta_sums)
-from .spectrum import (Spectrum, SpectrumContext, SpectrumEntry,
-                       base_spectrum, iterate_spectrum, lift_eigenvector,
-                       transform_spectrum)
+from .spectrum import (Spectrum, SpectrumEntry, base_spectrum,
+                       iterate_spectrum, lift_eigenvector, transform_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError", "ComparisonReport", "DenseSymMatrix", "FamilyKind",
     "Graph", "GraphError", "GrowthCounts", "InvariantReport", "RootFamily",
-    "RootIsolationError", "Spectrum", "SpectrumContext", "SpectrumEntry",
-    "base_spectrum", "coeffs_a", "compare_spectra", "degree_product",
-    "degree_product_closed", "eig_sym", "eval_a", "exact_invariants",
-    "family_polynomial", "invariants_from_spectrum", "iterate_spectrum",
-    "iterate_transform", "kemeny_closed", "kirchhoff_closed",
-    "lambda_polynomial", "laplacian_matvec", "lift_eigenvector",
-    "linear_combination", "make_graph", "matrix_tree_count",
-    "normalized_laplacian", "parse_edge_list", "polygon_transform",
-    "predict_counts", "roots_of_family", "solve_lambda_equation",
-    "solve_lambda_many", "spanning_trees_closed", "transform_spectrum",
-    "vieta_sums",
+    "RootIsolationError", "Spectrum", "SpectrumEntry", "base_spectrum",
+    "coeffs_a", "compare_spectra", "degree_product", "degree_product_closed",
+    "eig_sym", "eval_a", "exact_invariants", "family_polynomial",
+    "invariants_from_spectrum", "iterate_spectrum", "iterate_transform",
+    "kemeny_closed", "kirchhoff_closed", "lambda_polynomial",
+    "laplacian_matvec", "lift_eigenvector", "linear_combination",
+    "make_graph", "matrix_tree_count", "normalized_laplacian",
+    "parse_edge_list", "polygon_transform", "roots_of_family",
+    "solve_lambda_equation", "solve_lambda_many", "spanning_trees_closed",
+    "transform_spectrum", "vieta_sums",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -130,9 +131,9 @@ def _write(output_format: str, document, table: Table | None) -> None:
         print(_json_text(document))
 
 
-def _meta(n: int, g: int, ctx: spectrum.SpectrumContext) -> dict:
-    return {"n": n, "g": g, "N": str(ctx.vertices), "E": str(ctx.edges),
-            "bipartite": ctx.bipartite}
+def _meta(n: int, g: int, counts: graphs.GrowthCounts) -> dict:
+    return {"n": n, "g": g, "N": str(counts.vertices),
+            "E": str(counts.edges), "bipartite": counts.bipartite}
 
 
 def _cmd_transform(ns, graph: graphs.Graph):
@@ -142,51 +143,47 @@ def _cmd_transform(ns, graph: graphs.Graph):
 
 
 def _cmd_spectrum(ns, graph: graphs.Graph):
-    spec, ctx = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
-                                          ns.n, ns.g)
+    spec, counts = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
+                                             ns.n, ns.g)
     table = Table(("value", "multiplicity", "source"), [
         spec.values.tolist(), list(map(str, spec.multiplicities.tolist())),
         spec.source_labels()])
-    return 0, {"meta": _meta(ns.n, ns.g, ctx), "spectrum": table}, table
+    return 0, {"meta": _meta(ns.n, ns.g, counts), "spectrum": table}, table
 
 
 def _cmd_invariants(ns, graph: graphs.Graph):
     n0, e0 = graph.vertex_count, len(graph.edges)
-    base_spec, base_ctx = spectrum.base_spectrum(graph)
+    base_spec, base_counts = spectrum.base_spectrum(graph)
     product0 = invariants.degree_product(graph)
     if ns.exact:
         kf0, k0, nst0 = invariants.exact_invariants(graph)
     else:
         nst0 = oracle.matrix_tree_count(graph)
-        base = invariants.invariants_from_spectrum(base_spec, base_ctx,
+        base = invariants.invariants_from_spectrum(base_spec, base_counts,
                                                    product0)
         kf0, k0 = base.kirchhoff_multiplicative, base.kemeny
     kf_t, k_t, nst_t = kf0, k0, nst0
     rows = [(0, _FROM_SPECTRUM, kf0, k0, str(nst0))]
-    spec_t, ctx_t = base_spec, base_ctx
+    spec_t, counts_t = base_spec, base_counts
     for t in range(1, ns.g + 1):
         kf_t = invariants.kirchhoff_closed(kf0, n0, e0, ns.n, t)
         k_t = invariants.kemeny_closed(k0, n0, e0, ns.n, t)
         nst_t = invariants.spanning_trees_closed(nst0, n0, e0, ns.n, t)
         rows.append((t, _CLOSED_FORM, kf_t, k_t, str(nst_t)))
         # vertex counts grow with t, so once past the cap they stay past it
-        if graphs.predict_counts(n0, e0, ns.n, t).vertices > ns.explicit_cap:
+        if base_counts.grown(ns.n, t).vertices > ns.explicit_cap:
             continue
-        spec_t, ctx_t = spectrum.transform_spectrum(spec_t, ctx_t, ns.n)
+        spec_t, counts_t = spectrum.transform_spectrum(spec_t, counts_t, ns.n)
         report = invariants.invariants_from_spectrum(
-            spec_t, ctx_t,
-            invariants.degree_product_closed(product0, n0, e0, ns.n, t))
+            spec_t, counts_t,
+            invariants.degree_product_closed(product0, base_counts, ns.n, t))
         rows.append((t, _FROM_SPECTRUM, report.kirchhoff_multiplicative,
                      report.kemeny, None if report.spanning_trees is None
                      else str(report.spanning_trees)))
     table = Table(("generation", "method", "kirchhoff", "kemeny",
                    "spanning_trees"), list(zip(*rows)))
-    counts = graphs.predict_counts(n0, e0, ns.n, ns.g)
-    ctx_g = spectrum.SpectrumContext(
-        counts.vertices, counts.edges,
-        graph.bipartite and (ns.n % 2 == 1 or ns.g == 0))
     doc = {
-        "meta": _meta(ns.n, ns.g, ctx_g),
+        "meta": _meta(ns.n, ns.g, base_counts.grown(ns.n, ns.g)),
         "invariants": {"kirchhoff": kf_t, "kemeny": k_t,
                        "spanning_trees": str(nst_t), "generations": table},
     }
@@ -195,8 +192,8 @@ def _cmd_invariants(ns, graph: graphs.Graph):
 
 def _cmd_verify(ns, graph: graphs.Graph):
     explicit = graphs.iterate_transform(graph, ns.n, ns.g, ns.explicit_cap)
-    spec, ctx = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
-                                          ns.n, ns.g)
+    spec, counts = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
+                                             ns.n, ns.g)
     numeric = oracle.eig_sym(oracle.normalized_laplacian(explicit))
     report = oracle.compare_spectra(spec.expanded(), numeric, ns.tolerance)
     checks = {"matched": report.matched,
@@ -212,7 +209,7 @@ def _cmd_verify(ns, graph: graphs.Graph):
         trees = {"closed_form": str(closed), "matrix_tree": str(direct),
                  "equal": closed == direct}
     ok = report.matched and (trees is None or trees["equal"])
-    doc = {"meta": _meta(ns.n, ns.g, ctx), "spectrum": checks,
+    doc = {"meta": _meta(ns.n, ns.g, counts), "spectrum": checks,
            "spanning_trees": trees}
     rows = [*checks.items(), *(("spanning_trees_" + key, value)
                                for key, value in (trees or {}).items())]
@@ -238,8 +235,7 @@ def _cmd_lift(ns, graph: graphs.Graph):
     residuals = [float(np.linalg.norm(image - mu * row) / np.linalg.norm(row))
                  for image, mu, row in zip(applied, mus, lifted)]
     size = grown.vertex_count
-    ctx = spectrum.SpectrumContext(size, len(grown.edges), grown.bipartite)
-    doc = {"meta": _meta(ns.n, 1, ctx), "eigenvalue": lam, "lifts": [
+    doc = {"meta": _meta(ns.n, 1, grown.counts), "eigenvalue": lam, "lifts": [
         {"mu": mu, "residual": residual, "vector": vector}
         for mu, residual, vector in zip(mus, residuals, vectors)]}
     table = Table(("mu", "residual", "index", "component"), [
@@ -288,7 +284,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argparse tree, built once per process; parsing leaves it as is."""
     parser = _Parser(prog="ngonspec",
                      description="spectra and invariants of edge-to-polygon "
                                  "graph growth")
@@ -304,6 +302,11 @@ def main(argv=None) -> int:
         command = sub.add_parser(name, parents=[common], help=help_text)
         for flag in flags:
             command.add_argument(flag, **_FLAGS[flag])
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     ns = parser.parse_args(argv)
     if ns.n < 2:
         parser.error("--n must be at least 2")

@@ -43,13 +43,41 @@ class Graph:
     def connected(self) -> bool:
         return self.components == 1
 
+    @property
+    def counts(self) -> GrowthCounts:
+        return GrowthCounts(self.vertex_count, len(self.edges), self.bipartite)
+
 
 @dataclass(frozen=True)
 class GrowthCounts:
-    """Exact vertex and edge counts of the g-fold transform."""
+    """Vertex count, edge count and bipartiteness of a connected graph.
+
+    They are all the growth law reads, and all that a spectrum's
+    multiplicities depend on.
+    """
 
     vertices: int
     edges: int
+    bipartite: bool
+
+    def grown(self, n: int, g: int = 1) -> GrowthCounts:
+        """Counts after g growth steps, exact, without construction.
+
+        Each step adds n-1 vertices and n edges per edge; the result is
+        bipartite exactly when the input is and every new cycle, of n+1
+        edges, is even.
+        """
+        if self.vertices < 2 or self.edges < 1:
+            raise GraphError(
+                f"invalid base counts N={self.vertices}, E={self.edges}")
+        if n < 2:
+            raise GraphError(f"polygon parameter must be at least 2, got {n}")
+        if g < 0:
+            raise GraphError(f"generation must be nonnegative, got {g}")
+        growth = ((n + 1) ** g - 1) // n  # geometric series, always exact
+        return GrowthCounts(self.vertices + (n - 1) * growth * self.edges,
+                            (n + 1) ** g * self.edges,
+                            self.bipartite and (n % 2 == 1 or g == 0))
 
 
 def make_graph(vertex_count: int, edges) -> Graph:
@@ -151,11 +179,9 @@ def polygon_transform(graph: Graph, n: int) -> Graph:
 
     The flags follow from the growth law, so nothing is searched for: every
     old degree doubles, every path vertex has degree 2, the result stays
-    connected, and it is bipartite exactly when the input is and n is odd
-    (each new cycle has n + 1 edges).
+    connected, and GrowthCounts.grown gives its bipartite flag.
     """
-    if n < 2:
-        raise GraphError(f"polygon parameter must be at least 2, got {n}")
+    counts = graph.counts.grown(n)
     if not graph.connected:
         raise GraphError("transform requires a connected graph")
     base = graph.vertex_count
@@ -168,28 +194,15 @@ def polygon_transform(graph: Graph, n: int) -> Graph:
         new_edges.extend((k, k + 1) for k in range(first, last))
         new_edges.append((j, last))
     new_edges.sort()
-    return Graph(base + added, tuple(new_edges),
+    return Graph(counts.vertices, tuple(new_edges),
                  tuple(2 * d for d in graph.degrees) + (2,) * added,
-                 graph.bipartite and n % 2 == 1, 1)
-
-
-def predict_counts(n0: int, e0: int, n: int, g: int) -> GrowthCounts:
-    """Exact vertex/edge counts after g growth steps, without construction."""
-    if n0 < 2 or e0 < 1:
-        raise GraphError(f"invalid base counts N={n0}, E={e0}")
-    if n < 2:
-        raise GraphError(f"polygon parameter must be at least 2, got {n}")
-    if g < 0:
-        raise GraphError(f"generation must be nonnegative, got {g}")
-    growth, remainder = divmod((n + 1) ** g - 1, n)
-    assert remainder == 0  # geometric series, always divisible
-    return GrowthCounts(n0 + (n - 1) * growth * e0, (n + 1) ** g * e0)
+                 counts.bipartite, 1)
 
 
 def iterate_transform(graph: Graph, n: int, g: int,
                       cap: int = DEFAULT_EXPLICIT_CAP) -> Graph:
     """Apply the transform g times, refusing results beyond cap vertices."""
-    predicted = predict_counts(graph.vertex_count, len(graph.edges), n, g)
+    predicted = graph.counts.grown(n, g)
     if predicted.vertices > cap:
         raise CapExceededError(predicted.vertices, cap)
     out = graph

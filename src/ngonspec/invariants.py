@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import oracle
-from .graphs import Graph, predict_counts
-from .spectrum import ZERO_CODE, Spectrum, SpectrumContext
+from .graphs import Graph, GrowthCounts
+from .spectrum import ZERO_CODE, Spectrum
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def _running_sum(terms) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
 
 
-def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext,
+def invariants_from_spectrum(spec: Spectrum, counts: GrowthCounts,
                              product: int) -> InvariantReport:
     """Invariants straight from eigenvalue sums (binary64 arithmetic).
 
@@ -60,8 +60,8 @@ def invariants_from_spectrum(spec: Spectrum, ctx: SpectrumContext,
     logs = np.fromiter(map(math.log, values.tolist()), float, len(values))
     reciprocal = _running_sum(mults / values)
     log_product = _running_sum(mults * logs)
-    kirchhoff = 2 * ctx.edges * reciprocal
-    log_trees = math.log(product) + log_product - math.log(2 * ctx.edges)
+    kirchhoff = 2 * counts.edges * reciprocal
+    log_trees = math.log(product) + log_product - math.log(2 * counts.edges)
     try:
         trees = round(math.exp(log_trees))
     except OverflowError:
@@ -124,18 +124,17 @@ def degree_product(graph: Graph) -> int:
     return math.prod(graph.degrees)
 
 
-def degree_product_closed(p0: int, n0: int, e0: int, n: int, g: int) -> int:
-    """Degree product of the g-th transform, from the degree law alone.
+def degree_product_closed(p0: int, counts: GrowthCounts, n: int,
+                          g: int) -> int:
+    """Degree product of the g-th transform of a base graph with degree
+    product p0 and the given counts, from the degree law alone.
 
     Each step doubles every existing degree and adds (n-1)E new vertices of
     degree 2, which multiplies the product by 2 to the new vertex count.
     """
     if g < 0:
         raise ValueError(f"generation must be nonnegative, got {g}")
-    shift = 0
-    for t in range(1, g + 1):
-        shift += predict_counts(n0, e0, n, t).vertices
-    return p0 << shift
+    return p0 << sum(counts.grown(n, t).vertices for t in range(1, g + 1))
 
 
 def exact_invariants(graph: Graph) -> tuple[Fraction, Fraction, int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aseries, oracle, roots
-from .graphs import Graph
+from .graphs import Graph, GrowthCounts
 
 CLUSTER_TOL = 1e-7   # numeric eigenvalues closer than this merge
 SNAP_TOL = 1e-9      # distance at which a value snaps to exactly 0 or 2
@@ -118,18 +118,9 @@ class Spectrum:
         return np.repeat(self.values, self.multiplicities.astype(np.intp))
 
 
-@dataclass(frozen=True)
-class SpectrumContext:
-    vertices: int
-    edges: int
-    bipartite: bool
-
-
-def _check_input(spec: Spectrum, ctx: SpectrumContext) -> None:
-    if ctx.vertices < 2 or ctx.edges < 1:
-        raise ValueError(f"invalid context N={ctx.vertices}, E={ctx.edges}")
-    if not ctx.bipartite and ctx.edges < ctx.vertices:
-        raise ValueError("non-bipartite context requires at least N edges")
+def _check_input(spec: Spectrum, counts: GrowthCounts) -> None:
+    if not counts.bipartite and counts.edges < counts.vertices:
+        raise ValueError("non-bipartite counts require at least N edges")
     values, mults = spec.values, spec.multiplicities
     bad = (mults < 1) | ~((values > -EDGE_TOL) & (values < 2.0 + EDGE_TOL))
     for value, mult in zip(values[bad].tolist(), mults[bad].tolist()):
@@ -139,73 +130,68 @@ def _check_input(spec: Spectrum, ctx: SpectrumContext) -> None:
     zero_mult = sum(mults[spec.sources == ZERO_CODE].tolist())
     if zero_mult != 1:
         raise ValueError(f"0 must have multiplicity 1, found {zero_mult}")
-    if spec.total_multiplicity != ctx.vertices:
-        raise ValueError(
-            f"total multiplicity {spec.total_multiplicity} != N={ctx.vertices}")
+    if spec.total_multiplicity != counts.vertices:
+        raise ValueError(f"total multiplicity {spec.total_multiplicity} "
+                         f"!= N={counts.vertices}")
 
 
-def base_spectrum(graph: Graph) -> tuple[Spectrum, SpectrumContext]:
+def base_spectrum(graph: Graph) -> tuple[Spectrum, GrowthCounts]:
     """Numeric spectrum of the graph itself, clustered into exact multiplicities.
 
-    Eigenvalues within CLUSTER_TOL of each other merge into one entry whose
-    value is the cluster mean; values within SNAP_TOL of 0 or 2 snap exactly.
+    A connected graph has 0 once, and 2 once exactly when it is bipartite:
+    those rows come from its counts, within SNAP_TOL of the numeric ends.
+    The eigenvalues between merge where gaps are at most CLUSTER_TOL, into
+    one entry per run valued at its mean; a tiny second one stays apart.
     """
     if not graph.connected:
         raise ValueError("spectrum pipeline requires a connected graph")
+    counts = graph.counts
     eigs = oracle.eig_sym(oracle.normalized_laplacian(graph))
+    if abs(eigs[0]) > SNAP_TOL or (counts.bipartite
+                                   and abs(eigs[-1] - 2.0) > SNAP_TOL):
+        raise RuntimeError(f"eigenvalues {eigs[0]}..{eigs[-1]} miss 0 "
+                           f"or, in a bipartite graph, 2")
     clusters: list[list[float]] = []
-    for value in eigs:
+    for value in eigs[1:len(eigs) - counts.bipartite].tolist():
         if clusters and value - clusters[-1][-1] <= CLUSTER_TOL:
-            clusters[-1].append(float(value))
+            clusters[-1].append(value)
         else:
-            clusters.append([float(value)])
-    entries = []
-    for cluster in clusters:
-        value = sum(cluster) / len(cluster)
-        source = SOURCE_BASE
-        if abs(value) <= SNAP_TOL:
-            value, source = 0.0, SOURCE_ZERO
-        elif abs(value - 2.0) <= SNAP_TOL:
-            value, source = 2.0, SOURCE_TWO
-        entries.append(SpectrumEntry(value, len(cluster), source))
-    if entries[0].value != 0.0 or entries[0].multiplicity != 1:
-        raise RuntimeError("connected graph must have a simple 0 eigenvalue")
-    has_two = entries[-1].value == 2.0
-    if has_two != graph.bipartite:
-        raise RuntimeError("eigenvalue 2 disagrees with the bipartite flag")
-    ctx = SpectrumContext(graph.vertex_count, len(graph.edges), graph.bipartite)
-    return Spectrum.from_entries(entries), ctx
+            clusters.append([value])
+    entries = [SpectrumEntry(0.0, 1, SOURCE_ZERO)]
+    entries.extend(SpectrumEntry(sum(cluster) / len(cluster), len(cluster),
+                                 SOURCE_BASE) for cluster in clusters)
+    if counts.bipartite:
+        entries.append(SpectrumEntry(2.0, 1, SOURCE_TWO))
+    return Spectrum.from_entries(entries), counts
 
 
-def transform_spectrum(spec: Spectrum, ctx: SpectrumContext,
-                       n: int) -> tuple[Spectrum, SpectrumContext]:
+def transform_spectrum(spec: Spectrum, counts: GrowthCounts,
+                       n: int) -> tuple[Spectrum, GrowthCounts]:
     """One transform step on the spectrum level.
 
     Output multiplicities: the zero-type family carries N, the others carry
     the cycle count E-N+1 (the minus-type family drops to E-N when the
     input is not bipartite), each base eigenvalue off {0, 2} contributes
     its transfer roots with its own multiplicity, 0 enters once, and 2
-    enters once exactly when the output is bipartite (odd n, bipartite
-    input). The total must close to the new vertex count.
+    enters once exactly when the output is bipartite. The total must close
+    to the grown vertex count.
     """
-    if n < 2:
-        raise ValueError(f"polygon parameter must be at least 2, got {n}")
-    _check_input(spec, ctx)
+    out = counts.grown(n)
+    _check_input(spec, counts)
     odd = bool(n % 2)
-    out_bipartite = ctx.bipartite and odd
-    new_vertices = ctx.vertices + (n - 1) * ctx.edges
-    new_edges = (n + 1) * ctx.edges
-    cycles = ctx.edges - ctx.vertices + 1
-    minus_mult = cycles if ctx.bipartite else cycles - 1
+    cycles = counts.edges - counts.vertices + 1
+    minus_mult = cycles if counts.bipartite else cycles - 1
     blocks = [(np.zeros(1), 1, SOURCE_ZERO)]
-    if out_bipartite:
+    if out.bipartite:
         blocks.append((np.full(1, 2.0), 1, SOURCE_TWO))
     if odd:
-        plan = [(roots.FamilyKind.ODD_ZERO, ctx.vertices, SOURCE_FAMILY_ZERO),
+        plan = [(roots.FamilyKind.ODD_ZERO, counts.vertices,
+                 SOURCE_FAMILY_ZERO),
                 (roots.FamilyKind.ODD_PLUS, cycles, SOURCE_FAMILY_PLUS),
                 (roots.FamilyKind.ODD_MINUS, minus_mult, SOURCE_FAMILY_MINUS)]
     else:
-        plan = [(roots.FamilyKind.EVEN_PLUS, ctx.vertices, SOURCE_FAMILY_PLUS),
+        plan = [(roots.FamilyKind.EVEN_PLUS, counts.vertices,
+                 SOURCE_FAMILY_PLUS),
                 (roots.FamilyKind.EVEN_ZERO, cycles, SOURCE_FAMILY_ZERO),
                 (roots.FamilyKind.EVEN_MINUS, minus_mult, SOURCE_FAMILY_MINUS)]
     for kind, mult, tag in plan:
@@ -231,23 +217,22 @@ def transform_spectrum(spec: Spectrum, ctx: SpectrumContext,
                              for column in (mults, codes, origins))
     values = np.concatenate(fixed + (table.ravel(),))
     total = sum(mults.tolist())
-    if total != new_vertices:
+    if total != out.vertices:
         raise RuntimeError(
-            f"multiplicity ledger mismatch: {total} != {new_vertices}")
+            f"multiplicity ledger mismatch: {total} != {out.vertices}")
     order = np.lexsort((origins, codes, values))
-    return (Spectrum(values[order], mults[order], codes[order],
-                     origins[order]),
-            SpectrumContext(new_vertices, new_edges, out_bipartite))
+    return Spectrum(values[order], mults[order], codes[order],
+                    origins[order]), out
 
 
-def iterate_spectrum(spec: Spectrum, ctx: SpectrumContext, n: int,
-                     g: int) -> tuple[Spectrum, SpectrumContext]:
+def iterate_spectrum(spec: Spectrum, counts: GrowthCounts, n: int,
+                     g: int) -> tuple[Spectrum, GrowthCounts]:
     """g-fold spectrum transfer; g = 0 returns the input unchanged."""
     if g < 0:
         raise ValueError(f"generation must be nonnegative, got {g}")
     for _ in range(g):
-        spec, ctx = transform_spectrum(spec, ctx, n)
-    return spec, ctx
+        spec, counts = transform_spectrum(spec, counts, n)
+    return spec, counts
 
 
 def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu,

@@ -41,7 +41,7 @@ class TransferRun:
     n: int
     g: int
     theory: spectrum.Spectrum
-    ctx: spectrum.SpectrumContext
+    ctx: graphs.GrowthCounts
     built: graphs.Graph
     deviation: float
 
@@ -53,8 +53,7 @@ def transfer_runs(corpus):
         spec, ctx = spectrum.base_spectrum(base)
         for n in range(2, 8):
             gens = [1]
-            if graphs.predict_counts(base.vertex_count, len(base.edges),
-                                     n, 2).vertices <= 500:
+            if base.counts.grown(n, 2).vertices <= 500:
                 gens.append(2)
             for g in gens:
                 built = graphs.iterate_transform(base, n, g, 10**6)
@@ -81,8 +80,7 @@ def test_criterion_2_multiplicity_ledger_is_exact(corpus, transfer_runs):
     bad = []
     for run in transfer_runs:
         base = corpus[run.name]
-        predicted = graphs.predict_counts(
-            base.vertex_count, len(base.edges), run.n, run.g).vertices
+        predicted = base.counts.grown(run.n, run.g).vertices
         if run.theory.total_multiplicity != predicted \
                 or run.ctx.vertices != predicted \
                 or run.built.vertex_count != predicted:
@@ -132,7 +130,7 @@ def test_criterion_4_invariant_closed_forms(corpus):
                 spec_t, ctx_t = spectrum.transform_spectrum(spec_t, ctx_t, n)
                 measured = invariants.invariants_from_spectrum(
                     spec_t, ctx_t,
-                    invariants.degree_product_closed(product0, n0, e0, n, g))
+                    invariants.degree_product_closed(product0, ctx, n, g))
                 kf_closed = invariants.kirchhoff_closed(kf0, n0, e0, n, g)
                 k_closed = invariants.kemeny_closed(k0, n0, e0, n, g)
                 worst = max(
@@ -281,7 +279,7 @@ def test_criterion_9_scale_and_performance():
     entries.extend(spectrum.SpectrumEntry(v, 1, spectrum.SOURCE_BASE)
                    for v in values)
     spec = spectrum.Spectrum.from_entries(entries)
-    ctx = spectrum.SpectrumContext(1000, 1500, False)
+    ctx = graphs.GrowthCounts(1000, 1500, False)
     start = time.perf_counter()
     out, out_ctx = spectrum.iterate_spectrum(spec, ctx, 9, 1)
     transfer_seconds = time.perf_counter() - start

@@ -373,6 +373,45 @@ def test_tiny_lifted_values_are_not_zero(tmp_path, capsys, text, g):
     assert sum(int(r["multiplicity"]) for r in rows) == int(doc["meta"]["N"])
 
 
+def barbell(clique, inner):
+    """Two cliques on `clique` vertices joined by a path through `inner`
+    new vertices, as edge-list text."""
+    edges = [(off + i, off + j) for off in (0, clique)
+             for i in range(clique) for j in range(i + 1, clique)]
+    path = [0, *range(2 * clique, 2 * clique + inner), clique]
+    edges.extend(zip(path, path[1:]))
+    return "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def test_second_eigenvalue_near_zero_stays_its_own_row(tmp_path, capsys):
+    # 1,840 vertices and 15,881 edges; the second eigenvalue, about 8.4e-8,
+    # lies within CLUSTER_TOL of 0.
+    path = write(tmp_path, "barbell.txt", barbell(120, 1600))
+    code, out = run_cli(capsys, ["spectrum", path, "--n", "3"])
+    assert code == 0
+    doc = json.loads(out)
+    rows = doc["spectrum"]
+    assert [r["source"] for r in rows].count("zero") == 1
+    assert 0.0 < rows[1]["value"] < 1e-7
+    assert sum(int(r["multiplicity"]) for r in rows) == int(doc["meta"]["N"])
+    code, out = run_cli(capsys, ["verify", path, "--n", "2", "--g", "0"])
+    assert code == 0
+    checks = json.loads(out)["spectrum"]
+    assert checks["matched"] and checks["size_theory"] == 1840
+
+
+def test_parser_is_built_once_and_survives_errors(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    path = write(tmp_path, "k3.txt", TRIANGLE)
+    argv = ["spectrum", path, "--n", "2"]
+    _, first = run_cli(capsys, argv)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["spectrum", path, "--n", "2", "--bogus"])
+    assert err.value.code == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run_cli(capsys, argv) == (0, first)
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     path = write(tmp_path, "c4.txt", SQUARE)
     argv = ["spectrum", path, "--n", "4", "--g", "2"]

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -116,8 +118,7 @@ def test_iterate_transform_never_calls_make_graph(monkeypatch):
     for graph in LAW_BASES.values():
         for n in range(2, 8):
             grown = graphs.iterate_transform(graph, n, 2)
-            assert grown.vertex_count == graphs.predict_counts(
-                graph.vertex_count, len(graph.edges), n, 2).vertices
+            assert grown.vertex_count == graph.counts.grown(n, 2).vertices
 
 
 def test_parse_names_the_smallest_unused_id():
@@ -129,12 +130,12 @@ def test_parse_names_the_smallest_unused_id():
 def test_predicted_counts_match_explicit(n, g):
     base = cycle_graph(5)
     got = graphs.iterate_transform(base, n, g, 10**6)
-    want = graphs.predict_counts(5, 5, n, g)
+    want = base.counts.grown(n, g)
     assert (got.vertex_count, len(got.edges)) == (want.vertices, want.edges)
 
 
 def test_predicted_counts_deep_iteration():
-    want = graphs.predict_counts(3, 3, 2, 10)
+    want = complete_graph(3).counts.grown(2, 10)
     nv, ne = 3, 3
     for _ in range(10):
         nv, ne = nv + ne, 3 * ne
@@ -150,3 +151,44 @@ def test_cap_enforced_before_building():
     with pytest.raises(graphs.CapExceededError) as err:
         graphs.iterate_transform(complete_graph(3), 5, 8, 100000)
     assert err.value.predicted > err.value.cap == 100000
+
+
+@pytest.mark.parametrize("name", sorted(LAW_BASES))
+def test_growth_law_matches_explicit_graphs(name):
+    # Counts from the law against the built graph, with bipartiteness found
+    # by make_graph's breadth-first colouring rather than by the law.
+    base = LAW_BASES[name]
+    for n in range(2, 8):
+        step = base.counts
+        for g in range(3):
+            built = graphs.iterate_transform(base, n, g, 10**5)
+            searched = graphs.make_graph(built.vertex_count, built.edges)
+            want = graphs.GrowthCounts(built.vertex_count, len(built.edges),
+                                       searched.bipartite)
+            assert base.counts.grown(n, g) == step == want, (name, n, g)
+            step = step.grown(n)
+
+
+@pytest.mark.parametrize("counts, n, g, message", [
+    (graphs.GrowthCounts(1, 1, True), 2, 1, "invalid base counts N=1, E=1"),
+    (graphs.GrowthCounts(3, 0, False), 2, 1, "invalid base counts N=3, E=0"),
+    (graphs.GrowthCounts(3, 3, False), 1, 1, "polygon parameter must be"),
+    (graphs.GrowthCounts(3, 3, False), 2, -1, "generation must be"),
+])
+def test_growth_law_rejects_invalid_inputs(counts, n, g, message):
+    with pytest.raises(graphs.GraphError, match=message):
+        counts.grown(n, g)
+
+
+def test_only_graphs_builds_growth_counts():
+    # The growth law lives in graphs.GrowthCounts.grown; every other module
+    # takes its counts from there or from Graph.counts.
+    package = Path(graphs.__file__).parent
+    builders = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and ast.unparse(node.func).split(".")[-1] \
+                    == "GrowthCounts":
+                builders.add(path.name)
+    assert builders == {"graphs.py"}

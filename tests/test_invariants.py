@@ -50,7 +50,7 @@ def test_from_spectrum_with_only_the_zero_row():
     spec = spectrum.Spectrum.from_entries(
         [spectrum.SpectrumEntry(0.0, 1, spectrum.SOURCE_ZERO)])
     report = invariants.invariants_from_spectrum(
-        spec, spectrum.SpectrumContext(1, 1, False), 2)
+        spec, graphs.GrowthCounts(1, 1, False), 2)
     assert (report.kirchhoff_multiplicative, report.kemeny) == (0.0, 0.0)
     assert report.spanning_trees == 1
 
@@ -163,8 +163,7 @@ def test_degree_product_closed_matches_explicit(corpus):
         p0 = invariants.degree_product(base)
         for n, g in ((2, 1), (2, 2), (3, 1), (5, 1)):
             grown = graphs.iterate_transform(base, n, g, 10**5)
-            assert invariants.degree_product_closed(
-                p0, base.vertex_count, len(base.edges), n, g) \
+            assert invariants.degree_product_closed(p0, base.counts, n, g) \
                 == invariants.degree_product(grown)
 
 

@@ -19,7 +19,7 @@ def entry_tuples(spec, digits=10):
 def test_base_spectrum_single_edge():
     spec, ctx = spectrum.base_spectrum(complete_graph(2))
     assert entry_tuples(spec) == [(0.0, 1, "zero"), (2.0, 1, "two")]
-    assert ctx == spectrum.SpectrumContext(2, 1, True)
+    assert ctx == graphs.GrowthCounts(2, 1, True)
 
 
 def test_base_spectrum_triangle():
@@ -44,7 +44,7 @@ def test_transform_triangle_worked_example():
                                  (1.5, 3, "family-plus")]
     assert out.source_labels()[1] == "lifted(1.5)"
     assert merged(out) == [(0.0, 1), (0.75, 2), (1.5, 3)]
-    assert out_ctx == spectrum.SpectrumContext(6, 9, False)
+    assert out_ctx == graphs.GrowthCounts(6, 9, False)
 
 
 def test_transform_edge_to_square():
@@ -60,7 +60,7 @@ def test_multiplicity_ledger_closes(corpus):
         spec, ctx = spectrum.base_spectrum(graph)
         for n in range(2, 8):
             out, out_ctx = spectrum.transform_spectrum(spec, ctx, n)
-            want = graphs.predict_counts(ctx.vertices, ctx.edges, n, 1)
+            want = ctx.grown(n, 1)
             assert out.total_multiplicity == want.vertices
             assert (out_ctx.vertices, out_ctx.edges) \
                 == (want.vertices, want.edges)
@@ -94,7 +94,7 @@ def test_values_near_two_are_lifted_unless_tagged_two():
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(1.5, 1, "base"),
         spectrum.SpectrumEntry(2.0 - 1e-13, 1, "base")])
-    ctx = spectrum.SpectrumContext(3, 3, False)
+    ctx = graphs.GrowthCounts(3, 3, False)
     for _ in range(2):
         spec, ctx = spectrum.transform_spectrum(spec, ctx, 3)
         assert spec.total_multiplicity == ctx.vertices
@@ -151,7 +151,7 @@ def test_multiplicities_outgrow_64_bits():
     spec = spectrum.Spectrum.from_entries((
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(1.5, big, "base")))
-    ctx = spectrum.SpectrumContext(big + 1, 2 * big, False)
+    ctx = graphs.GrowthCounts(big + 1, 2 * big, False)
     out, out_ctx = spectrum.transform_spectrum(spec, ctx, 3)
     assert out_ctx.vertices == big + 1 + 2 * 2 * big
     assert out.total_multiplicity == out_ctx.vertices
@@ -161,7 +161,7 @@ def test_multiplicities_outgrow_64_bits():
 
 
 def test_input_validation():
-    ctx = spectrum.SpectrumContext(3, 3, False)
+    ctx = graphs.GrowthCounts(3, 3, False)
     good = spectrum.Spectrum.from_entries((
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(1.5, 2, "base")))
@@ -179,7 +179,7 @@ def test_input_validation():
         spectrum.SpectrumEntry(2.5, 2, "base")))
     with pytest.raises(ValueError):
         spectrum.transform_spectrum(out_of_range, ctx, 2)
-    sparse = spectrum.SpectrumContext(5, 3, False)
+    sparse = graphs.GrowthCounts(5, 3, False)
     with pytest.raises(ValueError):
         spectrum.transform_spectrum(good, sparse, 2)
 
