@@ -22,7 +22,7 @@ import functools
 import json
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,6 +42,8 @@ class Table(NamedTuple):
 
 
 _NESTED = (dict, list, tuple)  # a Table is a tuple
+_BLOCK = 2048  # rows formatted by one `template % cells`
+_CSV_QUOTED = ',"\n'  # csv.writer quotes a field holding one ("\n" ends)
 
 
 def _json_scalar(value) -> str:
@@ -52,83 +54,115 @@ def _json_scalar(value) -> str:
     if value is False:
         return "false"
     if isinstance(value, float):
-        return format(value, ".17g") if math.isfinite(value) else "null"
+        return "%.17g" % value if math.isfinite(value) else "null"
     if isinstance(value, int):
         return str(value)
     return _ENCODE(str(value))
 
 
 def _csv_cell(value) -> str:
+    """One CSV field, quoted as csv.writer quotes it."""
     if value is None:
         return ""
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    text = "%.17g" % value if isinstance(value, float) else str(value)
+    if any(char in text for char in _CSV_QUOTED):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _json_column(cells, kinds: set):
-    """Lazy JSON text of a column of the given cell types; uniform columns
-    skip per-cell dispatch."""
-    if kinds == {float} and all(map(math.isfinite, cells)):
-        return map(format, cells, repeat(".17g"))
-    if kinds == {str}:
-        return map(_ENCODE, cells)
-    return map(_json_scalar, cells)
-
-
-def _csv_column(cells):
-    """Lazy CSV cells of a column; csv.writer prints str and int as str."""
+def _column(cells, json: bool) -> tuple[str, list]:
+    """(% conversion, values) of a column: uniform float, int and plain
+    str columns convert their cells, any other column its cells' text."""
     kinds = set(map(type, cells))
-    if kinds == {float}:
-        return map(format, cells, repeat(".17g"))
-    if kinds <= {str, int}:
-        return cells
-    return map(_csv_cell, cells)
+    if kinds == {float} and (not json or all(map(math.isfinite, cells))):
+        return "%.17g", cells
+    if kinds == {int}:
+        return "%d", cells
+    if kinds == {str}:
+        text = "".join(cells)
+        if json and _ENCODE(text) == f'"{text}"':
+            return '"%s"', cells
+        if not json and not any(char in text for char in _CSV_QUOTED):
+            return "%s", cells
+    return "%s", list(map(_json_scalar if json else _csv_cell, cells))
 
 
-def _json_text(value, indent: int = 0) -> str:
-    """Deterministic JSON with .17g floats; non-finite floats become null.
+def _blocks(row: str, sep: str, columns):
+    """The row template filled from the columns, rows joined by sep, as
+    one string per block of _BLOCK rows."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        block = [column[start:start + _BLOCK] for column in columns]
+        yield (sep if start else "") + sep.join([row] * len(block[0])) \
+            % tuple(chain.from_iterable(zip(*block)))
 
-    A dict of scalars and each row of a Table take one line.
-    """
+
+def _table_parts(table: Table, json: bool, pad: str = ""):
+    """A table's rows in blocks: JSON objects joined by ",\n", or CSV
+    lines without the header."""
+    formats, columns = zip(*(_column(column, json)
+                             for column in table.columns))
+    if json:
+        return _blocks(pad + "{" + ", ".join(
+            _ENCODE(key).replace("%", "%%") + ": " + conversion
+            for key, conversion in zip(table.header, formats)) + "}",
+            ",\n", columns)
+    if formats == ("%s",):  # csv.writer quotes a lone empty field
+        columns = ([text or '""' for text in columns[0]],)
+    return _blocks(",".join(formats) + "\n", "", columns)
+
+
+def _json_parts(value, indent: int = 0):
+    """Deterministic JSON with .17g floats, in parts; non-finite floats
+    become null. A dict of scalars and each row of a Table take one line."""
     if not isinstance(value, _NESTED):
-        return _json_scalar(value)
+        yield _json_scalar(value)
+        return
     pad = "  " * (indent + 1)
     close = "\n" + "  " * indent
-    if isinstance(value, Table):
-        row = (pad + "{{" + ", ".join(_ENCODE(key) + ": {}"
-                                      for key in value.header) + "}}").format
-        cells = [_json_column(column, set(map(type, column)))
-                 for column in value.columns]
-        return "[\n" + ",\n".join(map(row, *cells)) + close + "]"
     if isinstance(value, dict):
         if not any(isinstance(v, _NESTED) for v in value.values()):
-            return "{" + ", ".join(f"{_ENCODE(k)}: {_json_scalar(v)}"
-                                   for k, v in value.items()) + "}"
-        return "{\n" + ",\n".join(
-            f"{pad}{_ENCODE(k)}: {_json_text(v, indent + 1)}"
-            for k, v in value.items()) + close + "}"
+            yield "{" + ", ".join(f"{_ENCODE(k)}: {_json_scalar(v)}"
+                                  for k, v in value.items()) + "}"
+            return
+        yield "{\n"
+        for i, (k, v) in enumerate(value.items()):
+            yield (",\n" if i else "") + pad + _ENCODE(k) + ": "
+            yield from _json_parts(v, indent + 1)
+        yield close + "}"
+        return
     if not value:
-        return "[]"
-    kinds = set(map(type, value))
-    cells = ([_json_text(v, indent + 1) for v in value]
-             if any(issubclass(kind, _NESTED) for kind in kinds)
-             else _json_column(value, kinds))
-    return "[\n" + pad + (",\n" + pad).join(cells) + close + "]"
+        yield "[]"
+        return
+    yield "[\n"
+    if isinstance(value, Table):
+        yield from _table_parts(value, True, pad)
+    elif any(isinstance(v, _NESTED) for v in value):
+        for i, v in enumerate(value):
+            yield (",\n" if i else "") + pad
+            yield from _json_parts(v, indent + 1)
+    else:
+        conversion, cells = _column(value, True)
+        yield from _blocks(pad + conversion, ",\n", [cells])
+    yield close + "]"
+
+
+def _json_text(value) -> str:
+    return "".join(_json_parts(value))
 
 
 def _write(output_format: str, document, table: Table | None) -> None:
-    """Print a result: the document as JSON or the table as CSV."""
+    """Print a result in parts: the document as JSON or the table as CSV."""
     if output_format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(table.header)
-        writer.writerows(zip(*map(_csv_column, table.columns)))
+        csv.writer(sys.stdout, lineterminator="\n").writerow(table.header)
+        parts = _table_parts(table, False)
     else:
-        print(_json_text(document))
+        parts = chain(_json_parts(document), ("\n",))
+    for part in parts:
+        print(part, end="")
 
 
 def _meta(n: int, g: int, counts: graphs.GrowthCounts) -> dict:

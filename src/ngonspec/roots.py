@@ -17,6 +17,7 @@ polynomials serve the identity suites.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,14 +134,17 @@ def _family_form(kind: FamilyKind, m: int):
     }[kind]
 
 
+@functools.lru_cache(maxsize=64)
 def roots_of_family(family: RootFamily) -> np.ndarray:
-    """All real roots of the family polynomial, ascending, from closed forms."""
+    """All real roots of the family polynomial, ascending, from closed
+    forms; computed once per family, as one read-only array."""
     p, o, q, top, pair, diff = _family_form(family.kind, family.n // 2)
     theta = (p * np.arange(1, top + 1) - o) * np.pi / q
     half_gap = 0.5 * p * np.pi / q
     roots = _polish(_x_of_theta(theta), _x_of_theta(theta - half_gap),
                     _x_of_theta(theta + half_gap),  # (a, a') or (d, d'):
                     lambda x: _recurrence(x, top, pair)[diff::2])
+    roots.flags.writeable = False
     return _inside(f"{family.kind.value} n={family.n}", roots)
 
 

@@ -106,7 +106,7 @@ class Spectrum:
         """Export tag per row; each distinct lifted origin formatted once."""
         lifted = self.sources == _LIFTED
         origins, slot = np.unique(self.origins[lifted], return_inverse=True)
-        labels = np.array([*SOURCES, *(f"lifted({o:.17g})"
+        labels = np.array([*SOURCES, *("lifted(%.17g)" % o
                                        for o in origins.tolist())],
                           dtype=object)
         codes = self.sources.astype(np.intp)

@@ -1,11 +1,15 @@
+import csv
+import io
+import json
 import math
 import random
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
 
-from ngonspec import aseries, graphs, invariants, spectrum
+from ngonspec import aseries, cli, graphs, invariants, spectrum
 
 
 def complete_graph(nv):
@@ -285,3 +289,93 @@ def spanning_trees_step(nst0: int, n0: int, e0: int, n: int) -> int:
     if e0 < n0 - 1:
         raise ValueError(f"counts N={n0}, E={e0} cannot be connected")
     return (n + 1) ** (n0 - 1) * n ** (e0 - n0 + 1) * nst0
+
+
+# The CLI writer as it was before it formatted tables in blocks: one
+# str.format per JSON row and csv.writer for CSV. cli._json_text and
+# cli._write must print the same bytes.
+_ENCODE = json.encoder.encode_basestring_ascii
+_NESTED = (dict, list, tuple)
+
+
+def _reference_json_scalar(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return format(value, ".17g") if math.isfinite(value) else "null"
+    if isinstance(value, int):
+        return str(value)
+    return _ENCODE(str(value))
+
+
+def _reference_json_column(cells, kinds: set):
+    if kinds == {float} and all(map(math.isfinite, cells)):
+        return map(format, cells, repeat(".17g"))
+    if kinds == {str}:
+        return map(_ENCODE, cells)
+    return map(_reference_json_scalar, cells)
+
+
+def reference_json_text(value, indent: int = 0) -> str:
+    """Deterministic JSON with .17g floats; non-finite floats become null.
+
+    A dict of scalars and each row of a Table take one line.
+    """
+    if not isinstance(value, _NESTED):
+        return _reference_json_scalar(value)
+    pad = "  " * (indent + 1)
+    close = "\n" + "  " * indent
+    if isinstance(value, cli.Table):
+        row = (pad + "{{" + ", ".join(_ENCODE(key) + ": {}"
+                                      for key in value.header) + "}}").format
+        cells = [_reference_json_column(column, set(map(type, column)))
+                 for column in value.columns]
+        return "[\n" + ",\n".join(map(row, *cells)) + close + "]"
+    if isinstance(value, dict):
+        if not any(isinstance(v, _NESTED) for v in value.values()):
+            return "{" + ", ".join(f"{_ENCODE(k)}: {_reference_json_scalar(v)}"
+                                   for k, v in value.items()) + "}"
+        return "{\n" + ",\n".join(
+            f"{pad}{_ENCODE(k)}: {reference_json_text(v, indent + 1)}"
+            for k, v in value.items()) + close + "}"
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    cells = ([reference_json_text(v, indent + 1) for v in value]
+             if any(issubclass(kind, _NESTED) for kind in kinds)
+             else _reference_json_column(value, kinds))
+    return "[\n" + pad + (",\n" + pad).join(cells) + close + "]"
+
+
+def _reference_csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _reference_csv_column(cells):
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return map(format, cells, repeat(".17g"))
+    if kinds <= {str, int}:
+        return cells
+    return map(_reference_csv_cell, cells)
+
+
+def reference_csv_text(table) -> str:
+    """The table as csv.writer prints it, header first."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(zip(*map(_reference_csv_column, table.columns)))
+    return out.getvalue()

@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -11,10 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ngonspec import cli, oracle
+from ngonspec import cli, graphs, oracle
 
-from conftest import random_connected_graph
+from conftest import (random_connected_graph, reference_csv_text,
+                      reference_json_text)
 
 TRIANGLE = "0 1\n0 2\n1 2\n"
 SQUARE = "0 1\n1 2\n2 3\n0 3\n"
@@ -418,3 +422,109 @@ def test_output_is_deterministic(tmp_path, capsys):
     _, first = run_cli(capsys, argv)
     _, second = run_cli(capsys, argv)
     assert first == second
+
+
+def assert_same_text(got, want):
+    """got == want; a mismatch names its first differing characters, since
+    pytest's own diff of two large outputs takes minutes."""
+    if got != want:
+        at = next((i for i, pair in enumerate(zip(got, want))
+                   if pair[0] != pair[1]), min(len(got), len(want)))
+        pytest.fail(f"texts differ at {at} of {len(got)}/{len(want)}: "
+                    f"{got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+def written(output_format, document, table):
+    """What cli._write prints for a result."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write(output_format, document, table)
+    return out.getvalue()
+
+
+EDGE_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                               1e308, 0.1, -2.5e-17])
+FLOATS = st.one_of(EDGE_FLOATS, st.floats())
+FINITE_FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+INTS = st.one_of(st.sampled_from([2 ** 64, 2 ** 64 + 1, -(2 ** 70)]),
+                 st.integers(-(2 ** 80), 2 ** 80))
+# Plain strings need no JSON escape and no CSV quote; the rest may hold
+# anything, the characters both formats treat specially above all.
+PLAIN = st.text(alphabet="abc XYZ019()-.%'", max_size=6)
+TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\%,\r\n\t\x00\x1f\x7f\x85\u2028'),
+    st.characters(codec="utf-8")), max_size=6)
+# Each column draws a few values and repeats them down the rows, so
+# uniform columns of each type take their own conversion.
+POOLS = st.one_of(st.lists(FLOATS, min_size=1, max_size=4),
+                  st.lists(FINITE_FLOATS, min_size=1, max_size=4),
+                  st.lists(INTS, min_size=1, max_size=4),
+                  st.lists(PLAIN, min_size=1, max_size=4),
+                  st.lists(TEXT, min_size=1, max_size=4),
+                  st.lists(st.one_of(st.none(), st.booleans(), INTS, FLOATS,
+                                     PLAIN, TEXT), min_size=1, max_size=4))
+# The reference builds a str.format template from the keys, so it cannot
+# take braces in them; test_header_keys_may_hold_braces covers those.
+KEYS = st.one_of(PLAIN, TEXT, st.just("%s%%d")).filter(
+    lambda key: "{" not in key and "}" not in key)
+BLOCK_ROWS = [0, 1, 2, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1]
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_writer_matches_the_reference_writer(rows, data):
+    pools = data.draw(st.lists(POOLS, min_size=1, max_size=4))
+    header = tuple(data.draw(st.lists(KEYS, min_size=len(pools),
+                                      max_size=len(pools))))
+    columns = [[pool[i % len(pool)] for i in range(rows)] for pool in pools]
+    table = cli.Table(header, columns)
+    document = {"meta": {"rows": rows}, "table": table,
+                "column": columns[0], "nested": [table, columns[-1]]}
+    assert_same_text(cli._json_text(table), reference_json_text(table))
+    assert_same_text(cli._json_text(document), reference_json_text(document))
+    assert_same_text(written("csv", None, table), reference_csv_text(table))
+
+
+def test_header_keys_may_hold_braces():
+    # The str.format row template before the block writer raised here.
+    table = cli.Table(("{0}", "%}{"), [[1, 2], ["x", None]])
+    assert cli._json_text(table) == ('[\n  {"{0}": 1, "%}{": "x"},\n'
+                                     '  {"{0}": 2, "%}{": null}\n]')
+    assert written("csv", None, table) == "{0},%}{\n1,x\n2,\n"
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_spectrum_past_a_block_matches_the_reference_writer(
+        tmp_path, capsys, output_format):
+    path = write(tmp_path, "k4.txt", K4)
+    argv = ["spectrum", path, "--n", "3", "--g", "11"]
+    _, document, table = cli._cmd_spectrum(cli._parser().parse_args(argv),
+                                           graphs.parse_edge_list(K4))
+    assert len(table.columns[0]) > 2 * cli._BLOCK
+    want = (reference_json_text(document) + "\n" if output_format == "json"
+            else reference_csv_text(table))
+    code, out = run_cli(capsys, [*argv, "--output-format", output_format])
+    assert code == 0
+    assert_same_text(out, want)
+
+
+def test_write_streams_what_json_text_returns(tmp_path):
+    # One document of every subcommand that prints one; transform prints
+    # its edge list instead.
+    path = write(tmp_path, "k3.txt", TRIANGLE)
+    pair = write(tmp_path, "pair.json",
+                 json.dumps({"value": 1.5, "vector": [2, -1, -1]}))
+    graph = graphs.parse_edge_list(TRIANGLE)
+    for argv in (["spectrum", path, "--n", "3", "--g", "2"],
+                 ["invariants", path, "--n", "3", "--g", "2"],
+                 ["invariants", path, "--n", "3", "--exact"],
+                 ["verify", path, "--n", "3"],
+                 ["lift", path, "--n", "3", "--eigenpair", pair]):
+        ns = cli._parser().parse_args(argv)
+        code, document, table = cli._COMMANDS[ns.command][0](ns, graph)
+        assert code == 0
+        text = cli._json_text(document) + "\n"
+        assert_same_text(written("json", document, table), text)
+        assert_same_text(text, reference_json_text(document) + "\n")

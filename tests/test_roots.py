@@ -145,6 +145,7 @@ def test_a_root_outside_the_open_interval_is_named(monkeypatch):
         roots.solve_lambda_equation(2, 1.5)
     monkeypatch.setattr(roots, "_polish",
                         lambda x, lo, hi, value: np.full_like(x, 2.0))
+    roots.roots_of_family.cache_clear()  # a cached array skips _polish
     with pytest.raises(roots.RootIsolationError,
                        match=r"^roots of odd-zero n=3 escaped \(0, 2\): "
                              r"\[2\.0\]$"):
@@ -244,3 +245,14 @@ def test_transfer_roots_match_exact_vieta_sums(n, lam):
     recip, prod = roots.vieta_sums(roots.lambda_polynomial(n, lam))
     assert abs(got_recip - recip) <= 1e-10 * recip
     assert abs(got_prod - prod) <= 1e-10 * prod
+
+
+def test_family_roots_are_computed_once_and_read_only():
+    family = RootFamily(FamilyKind.ODD_PLUS, 9)
+    first = roots.roots_of_family(family)
+    assert roots.roots_of_family(RootFamily(FamilyKind.ODD_PLUS, 9)) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1.0
+    assert first.tolist() \
+        == roots.roots_of_family.__wrapped__(family).tolist()

@@ -291,3 +291,26 @@ def test_source_labels_match_the_entries(corpus):
         assert spec.source_labels() == [
             f"lifted({e.origin:.17g})" if e.source == "lifted" else e.source
             for e in spec.entries]
+
+
+def test_cached_family_roots_leave_the_transfer_unchanged(monkeypatch,
+                                                          corpus):
+    def grown():
+        return [spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
+                                          n, 3)[0]
+                for graph in (corpus["Petersen"], corpus["C4"])
+                for n in (3, 4)]
+
+    roots.roots_of_family.cache_clear()
+    cold, warm = grown(), grown()
+    assert roots.roots_of_family.cache_info().hits > 0
+    monkeypatch.setattr(roots, "roots_of_family",
+                        roots.roots_of_family.__wrapped__)
+    uncached = grown()
+    for want, *others in zip(cold, warm, uncached):
+        for got in others:
+            for column in ("values", "sources", "origins"):
+                assert np.array_equal(getattr(got, column),
+                                      getattr(want, column))
+            assert got.multiplicities.tolist() \
+                == want.multiplicities.tolist()
