@@ -74,10 +74,10 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _column(cells, json: bool) -> tuple[str, list]:
-    """(% conversion, values) of a column: uniform float, int and plain
-    str columns convert their cells, any other column its cells' text."""
-    kinds = set(map(type, cells))
+def _column(cells, kinds: set, json: bool) -> tuple[str, list]:
+    """(% conversion, values) of a column whose cells have the types in
+    kinds: uniform float, int and plain str columns convert their cells,
+    any other column its cells' text."""
     if kinds == {float} and (not json or all(map(math.isfinite, cells))):
         return "%.17g", cells
     if kinds == {int}:
@@ -103,7 +103,7 @@ def _blocks(row: str, sep: str, columns):
 def _table_parts(table: Table, json: bool, pad: str = ""):
     """A table's rows in blocks: JSON objects joined by ",\n", or CSV
     lines without the header."""
-    formats, columns = zip(*(_column(column, json)
+    formats, columns = zip(*(_column(column, set(map(type, column)), json)
                              for column in table.columns))
     if json:
         return _blocks(pad + "{" + ", ".join(
@@ -137,15 +137,16 @@ def _json_parts(value, indent: int = 0):
     if not value:
         yield "[]"
         return
+    kinds = set(map(type, value))
     yield "[\n"
     if isinstance(value, Table):
         yield from _table_parts(value, True, pad)
-    elif any(isinstance(v, _NESTED) for v in value):
+    elif any(issubclass(kind, _NESTED) for kind in kinds):
         for i, v in enumerate(value):
             yield (",\n" if i else "") + pad
             yield from _json_parts(v, indent + 1)
     else:
-        conversion, cells = _column(value, True)
+        conversion, cells = _column(value, kinds, True)
         yield from _blocks(pad + conversion, ",\n", [cells])
     yield close + "]"
 
@@ -272,10 +273,13 @@ def _cmd_lift(ns, graph: graphs.Graph):
     doc = {"meta": _meta(ns.n, 1, grown.counts), "eigenvalue": lam, "lifts": [
         {"mu": mu, "residual": residual, "vector": vector}
         for mu, residual, vector in zip(mus, residuals, vectors)]}
-    table = Table(("mu", "residual", "index", "component"), [
-        [mu for mu in mus for _ in range(size)],
-        [residual for residual in residuals for _ in range(size)],
-        list(range(size)) * len(mus), list(chain.from_iterable(vectors))])
+    table = None
+    if ns.output_format == "csv":  # JSON prints the document alone
+        table = Table(("mu", "residual", "index", "component"), [
+            [mu for mu in mus for _ in range(size)],
+            [residual for residual in residuals for _ in range(size)],
+            list(range(size)) * len(mus),
+            list(chain.from_iterable(vectors))])
     worst = max(residuals, default=0.0)
     return 0 if worst <= ns.tolerance else 3, doc, table
 

@@ -15,18 +15,24 @@ index takes B = I, skips primes dividing the tree count and multiplies the
 bound by 2 E**2 N. Entries stay below order * p**2 < 2**63, so orders of
 2048 and more are refused.
 
-L0 comes in ascending kept-degree order, a minimum-degree-style order
-(George & Liu, Computer Solution of Large Sparse Positive Definite
-Systems, 1981): a grown graph's newest path vertices have degree 2 and
-every older degree has doubled, so elimination is a series reduction with
-little fill. One call eliminates a batch of primes in a (P, n, n + m)
-array, and each step touches only the rows and columns that the pivot
-column and row reach; once the pivot column is dense, the step updates
-the trailing block by slices. MODULAR_BATCH_BYTES caps a batch's array.
+The kernel eliminates in rounds of multiple minimum degree (Liu, ACM
+TOMS 11, 1985), which extends the minimum-degree order of George & Liu
+(Computer Solution of Large Sparse Positive Definite Systems, 1981). A
+round takes every pivot whose (degree in the fill pattern, index) is
+below its neighbours'. Such a set is independent, so one round is one
+gathered multiply and one scatter-add over its pivots' neighbour pairs.
+A grown graph's newest path vertices have degree 2 and form one round,
+so a triangle grown five times, 366 vertices, takes 7 rounds. A pivot
+with more neighbours than the square root of the vertices left goes
+alone, as a rank-one update, by slices once its column is dense. The
+order is planned once per matrix from its pattern and shared by every
+batch of primes. One call eliminates a batch of primes in a
+(P, n, n + m) array, and MODULAR_BATCH_BYTES caps a batch's array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,64 +142,157 @@ def _prime(index: int) -> int:
     return _PRIMES[index]
 
 
+def _pairs(first_of, second_of, groups: int):
+    """(down, across): every pair of an entry down[t] of first_of and an
+    entry across[t] of second_of in the same group; both list each
+    entry's group below groups, in ascending order."""
+    per = np.bincount(second_of, minlength=groups)
+    reps = per[first_of]
+    down = np.repeat(np.arange(first_of.size), reps)
+    across = np.arange(down.size) + np.repeat(
+        (np.cumsum(per) - per)[first_of] - np.cumsum(reps) + reps, reps)
+    return down, across
+
+
+@functools.lru_cache(maxsize=4)
+def _rounds(size: int, pattern: bytes) -> tuple[np.ndarray, tuple]:
+    """(place, ends): elimination rounds of a packed symmetric pattern.
+
+    Multiple minimum degree (Liu, ACM TOMS 11, 1985): a round takes every
+    remaining vertex whose (degree in the fill graph, index) is below its
+    neighbours', an independent set, and joins each one's neighbours into
+    a clique. A vertex of degree d joins a round only if d**2 is at most
+    the number of vertices left, and if the lowest has a larger degree it
+    goes alone: a pair update costs more per entry than a rank-one one.
+    A round stops early where the sum of d * (d + n) would pass 2 n**2,
+    which caps the entry pairs one round of _eliminate_mod updates at
+    2 n**2 and its back substitution's at 2 n m, when m <= n. Once the
+    graph left is complete, its vertices go one per round in index order.
+    Index i goes to position place[i] of the elimination order, and
+    ends[k] is the end of the round that holds position k. Both are
+    read-only: every batch of primes shares them.
+    """
+    adj = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8),
+                        count=size * size).reshape(size, size).astype(bool)
+    np.fill_diagonal(adj, False)
+    left, order, ends = np.arange(size), [np.arange(0)], []
+    while left.size:
+        degree = adj.sum(axis=1)
+        if degree.min() == left.size - 1:  # complete: a dense front
+            order.append(left)
+            ends.extend(range(len(ends) + 1, size + 1))
+            break
+        key = degree * size + np.arange(left.size)
+        pivots = key.argmin(keepdims=True)
+        if degree[pivots[0]] ** 2 <= left.size:  # else it goes alone
+            lowest = ~(adj & (key < key[:, None])).any(axis=1)
+            pivots = np.flatnonzero(lowest & (degree ** 2 <= left.size))
+            pairs = np.cumsum(degree[pivots] * (degree[pivots] + size))
+            pivots = pivots[:max(1, np.searchsorted(pairs, 2 * size * size,
+                                                    "right"))]
+        pivot_of, near = np.nonzero(adj[pivots])
+        down, across = _pairs(pivot_of, pivot_of, pivots.size)
+        adj[near[down], near[across]] = True
+        keep = np.ones(left.size, dtype=bool)
+        keep[pivots] = False
+        adj = adj[keep][:, keep]
+        np.fill_diagonal(adj, False)
+        order.append(left[pivots])
+        ends.extend([len(ends) + pivots.size] * pivots.size)
+        left = left[keep]
+    place = np.argsort(np.concatenate(order))
+    place.flags.writeable = False
+    return place, tuple(ends)
+
+
 def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, primes):
     """[(det mat mod p, adj(mat) @ rhs mod p or None when det is 0) per p].
 
     One (P, n, n + m) int64 array holds [mat | rhs] for every prime of
-    the batch. Step k reduces only the pivot column and row mod p, and
-    updates only the rows where the column is nonzero for some prime and
-    the columns where the row is: a few entries per step on a sparse
-    matrix in a good order, whole slices once the pivot column is dense.
-    A zero pivot swaps rows for its own prime only; a column of zeros
-    makes that prime's det 0 and leaves the others going. Each update is
-    below p**2, so entries stay under order * p**2 < 2**63. Back
-    substitution gives x = mat^{-1} @ rhs over each pivot row's nonzero
-    columns, and adj(mat) @ rhs = det * x; a zero-width rhs costs the det
-    only.
+    the batch, rows and columns permuted into _rounds' order for the
+    pattern of mat and mat.T. A round's pivots S are independent, so
+    A_SS is diagonal and A_RR -= A_RS diag(1/a_ss) A_SR is one gathered
+    multiply and one scatter-add over each pivot's (row, column) entry
+    pairs; a lone pivot updates its rows and columns as a rank-one
+    product, by slices once its column is dense. Inverses are taken once
+    per distinct (prime, pivot). A zero pivot ends the rounds: from there
+    each step takes one pivot, a zero pivot swaps rows for its own prime
+    only, and a column of zeros makes that prime's det 0 and leaves the
+    others going. Each pivot adds at most one product below p**2 to an
+    entry, so entries stay under order * p**2 < 2**63. Back substitution
+    gives x = mat^{-1} @ rhs round by round in reverse, and adj(mat) @ rhs
+    = det * x; a zero-width rhs costs the det only.
     """
     size, width = rhs.shape
     if size >= MAX_MODULAR_ORDER:
         raise ValueError(f"modular determinant needs order below "
                          f"{MAX_MODULAR_ORDER}, got {size}")
+    pattern = mat != 0
+    place, ends = _rounds(size, np.packbits(pattern | pattern.T).tobytes())
+    count = len(primes)
     mod = np.array(primes, dtype=np.int64)[:, None]
-    a = np.concatenate((mat, rhs), axis=1)[None] % mod[:, :, None]
-    det = np.ones(len(primes), dtype=np.int64)
-    inverses, uses = np.ones((len(primes), size), dtype=np.int64), []
-    for k in range(size):
-        col = a[:, k:size, k] % mod
-        for i in np.flatnonzero(col[:, 0] == 0):
-            nonzero = np.flatnonzero(col[i])
-            if not nonzero.size:  # det is 0 mod this prime; unit pivot
-                det[i], col[i, 0] = 0, 1
-                continue
-            r = nonzero[0]
-            a[i, [k, k + r], k:] = a[i, [k + r, k], k:]
-            col[i, [0, r]] = col[i, [r, 0]]
-            det[i] = -det[i]
-        det = det * col[:, 0] % mod[:, 0]
-        inverses[:, k] = [pow(v, -1, p) for v, p in
-                          zip(col[:, 0].tolist(), primes)]
-        row = a[:, k, k + 1:] % mod
-        cols = row.any(axis=0).nonzero()[0]
-        uses.append(cols[:np.searchsorted(cols, size - k - 1)] + k + 1)
-        rows = col[:, 1:].any(axis=0).nonzero()[0]
-        if rows.size and cols.size:
-            if 2 * rows.size > size - k:  # a dense front: slices beat gathers
-                rows, cols = np.s_[rows[0]:], np.s_[cols[0]:]
-                at = (np.s_[:], rows, cols)
-            else:
-                at = (np.s_[:], rows[:, None], cols)
-            factors = col[:, 1:][:, rows] * inverses[:, k, None] % mod
-            a[:, k + 1:size, k + 1:][at] -= \
-                factors[:, :, None] * row[:, None, cols]
+    a = np.zeros((count, size, size + width), dtype=np.int64)
+    rows, cols = np.nonzero(mat)  # only the nonzeros need reducing
+    a[:, place[rows], place[cols]] = mat[rows, cols] % mod
+    rows, cols = np.nonzero(rhs)
+    a[:, place[rows], size + cols] = rhs[rows, cols] % mod
+    det, done, k, planned = [1] * count, [], 0, True
+    while k < size:
+        stop = ends[k] if planned else k + 1
+        pivots = np.diagonal(a[:, k:stop, k:stop], axis1=1, axis2=2) % mod
+        if not pivots.all():  # from here on, one pivot per step
+            stop, planned = k + 1, False
+            for i in np.flatnonzero(pivots[:, 0] == 0):
+                nonzero = np.flatnonzero(a[i, k:size, k] % primes[i])
+                if not nonzero.size:  # det is 0 mod this prime; unit pivot
+                    det[i], a[i, k, k] = 0, 1
+                    continue
+                r = nonzero[0]
+                a[i, [k, k + r], k:] = a[i, [k + r, k], k:]
+                det[i] = -det[i]
+            pivots = a[:, k, k, None] % mod
+        # (pivot, row) below and (pivot, column) right of the pivots; an
+        # entry that is 0 before reduction is 0 mod p
+        pivot_of, rows = np.nonzero((a[:, stop:size, k:stop] != 0)
+                                    .any(axis=0).T)
+        row_of, cols = np.nonzero((a[:, k:stop, stop:] != 0).any(axis=0))
+        rows, cols = rows + stop, cols + stop
+        inverses = []
+        for i, (p, values) in enumerate(zip(primes, pivots.tolist())):
+            det[i] = det[i] * math.prod(values) % p
+            inverse = {v: pow(v, -1, p) for v in set(values)}  # few differ
+            inverses.append([inverse[v] for v in values])
+        inverses = np.array(inverses)
+        if width:
+            done.append((k, stop, inverses, k + row_of[cols < size],
+                         cols[cols < size]))
+        if stop == k + 1 and rows.size and cols.size:  # a rank-one update
+            dense = 2 * rows.size > size - k  # slices beat gathers
+            if dense:
+                rows, cols = np.s_[rows[0]:size], np.s_[cols[0]:]
+            factors = a[:, rows, k] % mod * inverses % mod
+            a[:, rows if dense else rows[:, None], cols] -= \
+                factors[:, :, None] * (a[:, k:stop, cols] % mod[:, :, None])
+        elif rows.size and cols.size:
+            down, across = _pairs(pivot_of, row_of, stop - k)
+            factors = a[:, rows, k + pivot_of] % mod \
+                * inverses[:, pivot_of] % mod
+            terms = factors[:, down] \
+                * (a[:, k + row_of[across], cols[across]] % mod)
+            np.subtract.at(a.reshape(count, -1), (np.s_[:], rows[down] * (
+                size + width) + cols[across]), terms)  # pairs repeat
+        k = stop
     x = a[:, :, size:]
-    for k in range(size - 1, -1, -1) if width else ():
-        upper = a[:, k, uses[k]] % mod
-        x[:, k] = (x[:, k] - np.einsum("pc,pcm->pm", upper, x[:, uses[k]])
-                   ) % mod * inverses[:, k, None] % mod
-    adj = x * det[:, None, None] % mod[:, :, None]
-    return [(d, adj_rhs if d else None)
-            for d, adj_rhs in zip(det.tolist(), adj)]
+    for k, stop, inverses, rows, cols in reversed(done) if width else ():
+        if rows.size:  # rows ascend: sum each row's terms in one run
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            x[:, rows[starts]] -= np.add.reduceat(
+                (a[:, rows, cols] % mod)[:, :, None] * x[:, cols], starts,
+                axis=1)
+        x[:, k:stop] = x[:, k:stop] % mod[:, :, None] \
+            * inverses[:, :, None] % mod[:, :, None]
+    adj = x[:, place] * np.array(det)[:, None, None] % mod[:, :, None]
+    return [(d, adj_rhs if d else None) for d, adj_rhs in zip(det, adj)]
 
 
 def _crt(digits_of, bound: int, count: int = 1, batch: int = 1) -> list[int]:
@@ -241,9 +340,8 @@ def _reduced_laplacian(graph: Graph, drop: int):
     """The integer Laplacian without row and column drop; kept degrees.
 
     Both come in ascending kept-degree order (a stable sort), a symmetric
-    permutation that changes neither det nor adj's quadratic forms. On a
-    grown graph it puts the newest degree-2 path vertices first, so
-    elimination runs as a series reduction with little fill.
+    permutation that changes neither det nor adj's quadratic forms; the
+    elimination rounds break degree ties by this index.
     """
     count = graph.vertex_count
     if count > TREE_COUNT_CAP:

@@ -332,6 +332,66 @@ def test_eliminate_mod_batch_with_small_primes(rows, width, seed):
              for j in range(width)] for i in range(size)]
 
 
+def test_eliminate_mod_on_grown_minors(corpus):
+    # A grown graph's newest path vertices are eliminated as one round, and
+    # with 3, 5 and 7 in the batch zero pivots come up in the middle of a
+    # round, so rounds must give way to one pivot per step with swaps.
+    # adj(M) mod p is the X with M @ X = X @ M = det * I mod p when det is
+    # nonzero mod p; the cofactor reference checks it directly up to
+    # order 12. Bareiss checks det up to 100 vertices, the closed-form tree
+    # count above.
+    primes = [3, 5, 7, oracle._prime(0)]
+    for graph in corpus.values():
+        base = bareiss_tree_count(graph)
+        for n, g in [(2, 0), *((n, g) for n in (2, 3, 4) for g in (1, 2))]:
+            grown = graphs.iterate_transform(graph, n, g)
+            minor, _ = oracle._reduced_laplacian(grown, 0)
+            trees = bareiss_tree_count(grown) if grown.vertex_count <= 100 \
+                else invariants.spanning_trees_closed(
+                    base, graph.vertex_count, len(graph.edges), n, g)
+            identity = np.eye(len(minor), dtype=np.int64)
+            cofactors = adjugate(minor.tolist()) if len(minor) <= 12 else None
+            results = oracle._eliminate_mod(minor, identity, primes)
+            for p, (det, adj) in zip(primes, results):
+                assert det == trees % p
+                if not det:
+                    assert adj is None
+                    continue
+                assert np.array_equal(minor @ adj % p, det * identity)
+                assert np.array_equal(adj @ minor % p, det * identity)
+                if cofactors is not None:
+                    assert adj.tolist() == [[v % p for v in row]
+                                            for row in cofactors]
+
+
+def test_a_grown_graph_is_eliminated_in_seven_rounds(monkeypatch):
+    # Triangle n=2 g=5: the 243, 81, 27, 9 and 3 newest path vertices go
+    # in one round per layer, then the last two vertices one by one. One
+    # pivot per step would read 365 round starts per batch.
+    grown = graphs.iterate_transform(complete_graph(3), 2, 5)
+    assert grown.vertex_count == 366
+    starts = []
+    plan = oracle._rounds
+
+    class Ends(tuple):
+        def __getitem__(self, k):
+            starts.append(k)
+            return super().__getitem__(k)
+
+    def spy(size, pattern):
+        place, ends = plan(size, pattern)
+        return place, Ends(ends)
+
+    monkeypatch.setattr(oracle, "_rounds", spy)
+    batches = []
+    kernel = oracle._eliminate_mod
+    monkeypatch.setattr(oracle, "_eliminate_mod", lambda mat, rhs, primes:
+                        batches.append(primes) or kernel(mat, rhs, primes))
+    assert oracle.matrix_tree_count(grown) \
+        == invariants.spanning_trees_closed(3, 3, 3, 2, 5)
+    assert starts == [0, 243, 324, 351, 360, 363, 364] * len(batches)
+
+
 def test_batches_stay_within_the_byte_budget(monkeypatch):
     graph = random_connected_graph(random.Random(5), 30, 30)
     want = oracle.kirchhoff_tree_count(graph)
