@@ -237,10 +237,9 @@ def _cmd_verify(ns, graph: graphs.Graph):
     trees = None
     if explicit.vertex_count <= oracle.TREE_COUNT_CAP:
         direct = oracle.matrix_tree_count(explicit)
-        closed = oracle.matrix_tree_count(graph)
-        if ns.g >= 1:
-            closed = invariants.spanning_trees_closed(
-                closed, graph.vertex_count, len(graph.edges), ns.n, ns.g)
+        closed = direct if ns.g == 0 else invariants.spanning_trees_closed(
+            oracle.matrix_tree_count(graph), graph.vertex_count,
+            len(graph.edges), ns.n, ns.g)
         trees = {"closed_form": str(closed), "matrix_tree": str(direct),
                  "equal": closed == direct}
     ok = report.matched and (trees is None or trees["equal"])

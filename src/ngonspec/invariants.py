@@ -141,8 +141,8 @@ def exact_invariants(graph: Graph) -> tuple[Fraction, Fraction, int]:
     """Exact (kirchhoff, kemeny, spanning_trees) of a base graph.
 
     oracle.kirchhoff_tree_count eliminates [L0 | I] modulo primes, skips
-    those dividing tau and joins tau and Kf * tau by CRT; Kemeny's constant
-    is Kf / (2E). The vertex cap is that of oracle.matrix_tree_count.
+    those with a zero pivot and joins tau and Kf * tau by CRT; Kemeny's
+    constant is Kf / (2E). The vertex cap is that of oracle.matrix_tree_count.
     """
     kirchhoff, trees = oracle.kirchhoff_tree_count(graph)
     return kirchhoff, kirchhoff / (2 * len(graph.edges)), trees

@@ -7,15 +7,16 @@ logic with the recurrence or root modules, which is the point of having an
 oracle.
 
 Exact values come from one kernel: [L0 | B], the reduced integer Laplacian
-beside a right-hand side, is eliminated in int64 modulo primes below 2**26
-for det L0 and adj(L0) @ B mod p, and the Chinese remainder theorem joins
-residues until the modulus exceeds twice a bound. Tree counts take a
-zero-width B and Hadamard's bound, the kept-degree product; the Kirchhoff
-index takes B = I, skips primes dividing the tree count and multiplies the
-bound by 2 E**2 N. Entries stay below order * p**2 < 2**63, so orders of
-2048 and more are refused.
+of a connected graph beside a right-hand side, is eliminated in int64
+modulo primes below 2**26 for det L0 and adj(L0) @ B mod p, and the
+Chinese remainder theorem joins residues until the modulus exceeds twice
+a bound. L0 is positive definite, so it needs no pivoting, and a prime
+that meets a zero pivot is skipped. Tree counts take a zero-width B and
+Hadamard's bound, the kept-degree product; the Kirchhoff index takes
+B = I and multiplies the bound by 2 E**2 N. Entries stay below
+order * p**2 < 2**63, so orders of 2048 and more are refused.
 
-The kernel eliminates in rounds of multiple minimum degree (Liu, ACM
+L0 is built in the order of rounds of multiple minimum degree (Liu, ACM
 TOMS 11, 1985), which extends the minimum-degree order of George & Liu
 (Computer Solution of Large Sparse Positive Definite Systems, 1981). A
 round takes every pivot whose (degree in the fill pattern, index) is
@@ -24,15 +25,12 @@ gathered multiply and one scatter-add over its pivots' neighbour pairs.
 A grown graph's newest path vertices have degree 2 and form one round,
 so a triangle grown five times, 366 vertices, takes 7 rounds. A pivot
 with more neighbours than the square root of the vertices left goes
-alone, as a rank-one update, by slices once its column is dense. The
-order is planned once per matrix from its pattern and shared by every
-batch of primes. One call eliminates a batch of primes in a
+alone, as a rank-one update. One call eliminates a batch of primes in a
 (P, n, n + m) array, and MODULAR_BATCH_BYTES caps a batch's array.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,9 +152,8 @@ def _pairs(first_of, second_of, groups: int):
     return down, across
 
 
-@functools.lru_cache(maxsize=4)
-def _rounds(size: int, pattern: bytes) -> tuple[np.ndarray, tuple]:
-    """(place, ends): elimination rounds of a packed symmetric pattern.
+def _rounds(pattern: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(order, ends): elimination rounds of a symmetric bool pattern.
 
     Multiple minimum degree (Liu, ACM TOMS 11, 1985): a round takes every
     remaining vertex whose (degree in the fill graph, index) is below its
@@ -168,19 +165,17 @@ def _rounds(size: int, pattern: bytes) -> tuple[np.ndarray, tuple]:
     which caps the entry pairs one round of _eliminate_mod updates at
     2 n**2 and its back substitution's at 2 n m, when m <= n. Once the
     graph left is complete, its vertices go one per round in index order.
-    Index i goes to position place[i] of the elimination order, and
-    ends[k] is the end of the round that holds position k. Both are
-    read-only: every batch of primes shares them.
+    Position k of the elimination order holds index order[k], and ends
+    lists where each round ends in that order.
     """
-    adj = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8),
-                        count=size * size).reshape(size, size).astype(bool)
-    np.fill_diagonal(adj, False)
+    size = len(pattern)
+    adj = pattern & ~np.eye(size, dtype=bool)
     left, order, ends = np.arange(size), [np.arange(0)], []
     while left.size:
         degree = adj.sum(axis=1)
         if degree.min() == left.size - 1:  # complete: a dense front
             order.append(left)
-            ends.extend(range(len(ends) + 1, size + 1))
+            ends.extend(range(size - left.size + 1, size + 1))
             break
         key = degree * size + np.arange(left.size)
         pivots = key.argmin(keepdims=True)
@@ -198,59 +193,50 @@ def _rounds(size: int, pattern: bytes) -> tuple[np.ndarray, tuple]:
         adj = adj[keep][:, keep]
         np.fill_diagonal(adj, False)
         order.append(left[pivots])
-        ends.extend([len(ends) + pivots.size] * pivots.size)
+        ends.append(size - left.size + pivots.size)
         left = left[keep]
-    place = np.argsort(np.concatenate(order))
-    place.flags.writeable = False
-    return place, tuple(ends)
+    return np.concatenate(order), tuple(ends)
 
 
-def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, primes):
-    """[(det mat mod p, adj(mat) @ rhs mod p or None when det is 0) per p].
+def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, ends, primes):
+    """[(det mat mod p, adj(mat) @ rhs mod p), or None if a pivot is 0 mod p].
 
-    One (P, n, n + m) int64 array holds [mat | rhs] for every prime of
-    the batch, rows and columns permuted into _rounds' order for the
-    pattern of mat and mat.T. A round's pivots S are independent, so
-    A_SS is diagonal and A_RR -= A_RS diag(1/a_ss) A_SR is one gathered
-    multiply and one scatter-add over each pivot's (row, column) entry
-    pairs; a lone pivot updates its rows and columns as a rank-one
-    product, by slices once its column is dense. Inverses are taken once
-    per distinct (prime, pivot). A zero pivot ends the rounds: from there
-    each step takes one pivot, a zero pivot swaps rows for its own prime
-    only, and a column of zeros makes that prime's det 0 and leaves the
-    others going. Each pivot adds at most one product below p**2 to an
+    mat comes in _rounds' elimination order, with round ends ends, and
+    [mat | rhs] is one (P, n, n + m) int64 array. A round's pivots S are
+    independent, so A_SS is diagonal and A_RR -= A_RS diag(1/a_ss) A_SR
+    is one gathered multiply and one scatter-add over each pivot's
+    (row, column) entry pairs; a lone pivot is a rank-one update, by
+    slices once its column is dense. Inverses are taken once per distinct
+    (prime, pivot). Each pivot adds at most one product below p**2 to an
     entry, so entries stay under order * p**2 < 2**63. Back substitution
     gives x = mat^{-1} @ rhs round by round in reverse, and adj(mat) @ rhs
     = det * x; a zero-width rhs costs the det only.
+
+    With no pivoting, pivot k is M_k / M_(k-1), a ratio of leading
+    principal minors (M_0 = 1). A zero pivot's inverse is taken as 0, so
+    its prime's det is 0 and it gets None, exactly when it divides some
+    M_k; its columns update nothing, and the bound holds. Both callers pass
+    a reduced Laplacian of a connected graph, which is positive definite:
+    each M_k is a positive integer at most the product of the first k
+    diagonal entries (Hadamard), so only finitely many primes are skipped.
+    At the 400-vertex cap the M_k have fewer than 7 * 10**5 bits in all,
+    and fewer than 3 * 10**4 primes above 2**25 divide one, of about
+    1.9 * 10**6 there.
     """
     size, width = rhs.shape
     if size >= MAX_MODULAR_ORDER:
         raise ValueError(f"modular determinant needs order below "
                          f"{MAX_MODULAR_ORDER}, got {size}")
-    pattern = mat != 0
-    place, ends = _rounds(size, np.packbits(pattern | pattern.T).tobytes())
     count = len(primes)
     mod = np.array(primes, dtype=np.int64)[:, None]
     a = np.zeros((count, size, size + width), dtype=np.int64)
     rows, cols = np.nonzero(mat)  # only the nonzeros need reducing
-    a[:, place[rows], place[cols]] = mat[rows, cols] % mod
+    a[:, rows, cols] = mat[rows, cols] % mod
     rows, cols = np.nonzero(rhs)
-    a[:, place[rows], size + cols] = rhs[rows, cols] % mod
-    det, done, k, planned = [1] * count, [], 0, True
-    while k < size:
-        stop = ends[k] if planned else k + 1
+    a[:, rows, size + cols] = rhs[rows, cols] % mod
+    det, done = [1] * count, []
+    for k, stop in zip((0, *ends), ends):
         pivots = np.diagonal(a[:, k:stop, k:stop], axis1=1, axis2=2) % mod
-        if not pivots.all():  # from here on, one pivot per step
-            stop, planned = k + 1, False
-            for i in np.flatnonzero(pivots[:, 0] == 0):
-                nonzero = np.flatnonzero(a[i, k:size, k] % primes[i])
-                if not nonzero.size:  # det is 0 mod this prime; unit pivot
-                    det[i], a[i, k, k] = 0, 1
-                    continue
-                r = nonzero[0]
-                a[i, [k, k + r], k:] = a[i, [k + r, k], k:]
-                det[i] = -det[i]
-            pivots = a[:, k, k, None] % mod
         # (pivot, row) below and (pivot, column) right of the pivots; an
         # entry that is 0 before reduction is 0 mod p
         pivot_of, rows = np.nonzero((a[:, stop:size, k:stop] != 0)
@@ -260,7 +246,8 @@ def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, primes):
         inverses = []
         for i, (p, values) in enumerate(zip(primes, pivots.tolist())):
             det[i] = det[i] * math.prod(values) % p
-            inverse = {v: pow(v, -1, p) for v in set(values)}  # few differ
+            # few pivots differ; a zero pivot gets 0, so it updates nothing
+            inverse = {v: pow(v, -1, p) if v else 0 for v in set(values)}
             inverses.append([inverse[v] for v in values])
         inverses = np.array(inverses)
         if width:
@@ -281,9 +268,8 @@ def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, primes):
                 * (a[:, k + row_of[across], cols[across]] % mod)
             np.subtract.at(a.reshape(count, -1), (np.s_[:], rows[down] * (
                 size + width) + cols[across]), terms)  # pairs repeat
-        k = stop
     x = a[:, :, size:]
-    for k, stop, inverses, rows, cols in reversed(done) if width else ():
+    for k, stop, inverses, rows, cols in reversed(done):
         if rows.size:  # rows ascend: sum each row's terms in one run
             starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
             x[:, rows[starts]] -= np.add.reduceat(
@@ -291,11 +277,11 @@ def _eliminate_mod(mat: np.ndarray, rhs: np.ndarray, primes):
                 axis=1)
         x[:, k:stop] = x[:, k:stop] % mod[:, :, None] \
             * inverses[:, :, None] % mod[:, :, None]
-    adj = x[:, place] * np.array(det)[:, None, None] % mod[:, :, None]
-    return [(d, adj_rhs if d else None) for d, adj_rhs in zip(det, adj)]
+    adj = x * np.array(det)[:, None, None] % mod[:, :, None]
+    return [(d, adj_rhs) if d else None for d, adj_rhs in zip(det, adj)]
 
 
-def _crt(digits_of, bound: int, count: int = 1, batch: int = 1) -> list[int]:
+def _crt(digits_of, bound: int, count: int, batch: int) -> list[int]:
     """count integers in [-bound, bound] from their residues mod primes.
 
     digits_of(primes) gives, per prime, its count residues or None to skip
@@ -325,24 +311,11 @@ def _batch(order: int, width: int) -> int:
     return max(1, MODULAR_BATCH_BYTES // max(1, 8 * order * (order + width)))
 
 
-def _modular_det(mat: np.ndarray, bound: int) -> int:
-    """Exact det of an integer matrix with |det| <= bound, via CRT."""
-    mat = np.asarray(mat, dtype=np.int64)
-
-    def digits_of(primes):
-        return [(det,) for det, _ in _eliminate_mod(mat, mat[:, :0], primes)]
-
-    (det,) = _crt(digits_of, bound, 1, _batch(len(mat), 0))
-    return det
-
-
 def _reduced_laplacian(graph: Graph, drop: int):
-    """The integer Laplacian without row and column drop; kept degrees.
-
-    Both come in ascending kept-degree order (a stable sort), a symmetric
-    permutation that changes neither det nor adj's quadratic forms; the
-    elimination rounds break degree ties by this index.
-    """
+    """(minor, kept, ends): the integer Laplacian without row and column
+    drop, its diagonal and its round ends, in _rounds' order of the
+    pattern sorted by kept degree. A symmetric permutation changes neither
+    det nor adj's quadratic forms."""
     count = graph.vertex_count
     if count > TREE_COUNT_CAP:
         raise CapExceededError(count, TREE_COUNT_CAP,
@@ -357,7 +330,9 @@ def _reduced_laplacian(graph: Graph, drop: int):
     np.fill_diagonal(lap, graph.degrees)
     kept = np.delete(np.arange(count), drop)
     kept = kept[np.argsort(lap[kept, kept], kind="stable")]
-    return lap[np.ix_(kept, kept)], lap[kept, kept].tolist()
+    order, ends = _rounds((lap != 0)[kept][:, kept])
+    minor = lap[np.ix_(kept[order], kept[order])]
+    return minor, minor.diagonal().tolist(), ends
 
 
 def matrix_tree_count(graph: Graph, drop: int = 0) -> int:
@@ -367,8 +342,14 @@ def matrix_tree_count(graph: Graph, drop: int = 0) -> int:
     choice. The reduced Laplacian is positive definite, so Hadamard's
     inequality bounds its determinant by the product of the kept degrees.
     """
-    minor, kept = _reduced_laplacian(graph, drop)
-    return _modular_det(minor, math.prod(kept))
+    minor, kept, ends = _reduced_laplacian(graph, drop)
+
+    def digits_of(primes):
+        return [solved and solved[:1] for solved
+                in _eliminate_mod(minor, minor[:, :0], ends, primes)]
+
+    (trees,) = _crt(digits_of, math.prod(kept), 1, _batch(len(kept), 0))
+    return trees
 
 
 def kirchhoff_tree_count(graph: Graph) -> tuple[Fraction, int]:
@@ -377,19 +358,21 @@ def kirchhoff_tree_count(graph: Graph) -> tuple[Fraction, int]:
     With vertex 0 dropped, adj = adj(L0) = tau * L0^{-1}, and the resistance
     form Kf * tau = 2E * sum d_i adj_ii - d^T adj d runs over the kept
     degrees d (Chen & Zhang, Discrete Appl. Math. 155, 2007). Each prime
-    eliminates [L0 | I] once; primes dividing tau are skipped. Resistances
-    are below N, so the CRT bound is 2 E**2 N times Hadamard's bound on tau.
+    eliminates [L0 | I] once; primes dividing a leading minor of L0 are
+    skipped, which takes in every prime dividing tau. Resistances are
+    below N, so the CRT bound is 2 E**2 N times Hadamard's bound on tau.
     """
-    minor, kept = _reduced_laplacian(graph, 0)
+    minor, kept, ends = _reduced_laplacian(graph, 0)
     edges, degrees = len(graph.edges), np.asarray(kept, dtype=np.int64)
     identity = np.eye(len(kept), dtype=np.int64)
 
+    def digits(p, tau, adj):
+        return tau, (2 * edges * int(degrees @ adj.diagonal())
+                     - int(degrees @ (adj @ degrees % p))) % p
+
     def digits_of(primes):
-        solved = _eliminate_mod(minor, identity, primes)
-        for p, (tau, adj) in zip(primes, solved):
-            yield None if not tau else (  # p divides tau: skip it
-                tau, (2 * edges * int(degrees @ adj.diagonal())
-                      - int(degrees @ (adj @ degrees % p))) % p)
+        return [solved and digits(p, *solved) for p, solved in zip(
+            primes, _eliminate_mod(minor, identity, ends, primes))]
 
     bound = math.prod(kept) * 2 * edges * edges * graph.vertex_count
     tau, form = _crt(digits_of, bound, 2, _batch(len(kept), len(kept)))

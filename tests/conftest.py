@@ -143,6 +143,24 @@ def bareiss_det(mat) -> int:
     return sign * mat[size - 1][size - 1]
 
 
+def leading_minors(mat) -> list[int]:
+    """Leading principal minors M_1 .. M_n by one fraction-free Bareiss
+    pass without pivoting: after step k - 1 the k-th diagonal entry is M_k.
+
+    The reference for the oracle kernel's skip rule. mat is a list of
+    integer rows with nonzero leading minors and is overwritten.
+    """
+    size, prev = len(mat), 1
+    for k in range(size):
+        pivot, row_k = mat[k][k], mat[k]
+        for row_i in mat[k + 1:]:
+            factor = row_i[k]
+            for j in range(k + 1, size):
+                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
+        prev = pivot
+    return [mat[k][k] for k in range(size)]
+
+
 def bareiss_tree_count(graph, drop=0) -> int:
     """Spanning-tree count as a Bareiss cofactor of the integer Laplacian."""
     count = graph.vertex_count

@@ -14,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 from ngonspec import graphs, invariants, oracle
 
 from conftest import (bareiss_det, bareiss_tree_count, complete_graph,
-                      cycle_graph, laplacian_by_edge, path_graph,
-                      petersen_graph, random_connected_graph, star_graph)
+                      cycle_graph, laplacian_by_edge, leading_minors,
+                      path_graph, petersen_graph, random_connected_graph,
+                      star_graph)
 
 
 def test_laplacian_entries():
@@ -137,66 +138,34 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
 
 
-def row_sum_bound(rows) -> int:
-    """Product of the rows' absolute sums: at least Hadamard's bound."""
-    return math.prod(sum(map(abs, row)) for row in rows)
-
-
-def modular_det(rows) -> int:
-    return oracle._modular_det(np.array(rows, dtype=np.int64).reshape(
-        len(rows), len(rows)), row_sum_bound(rows))
-
-
-SQUARE_MATRICES = st.integers(0, 7).flatmap(lambda size: st.lists(
-    st.lists(st.integers(-9, 9), min_size=size, max_size=size),
-    min_size=size, max_size=size))
-
-
-@PROPERTY
-@given(rows=SQUARE_MATRICES)
-@example(rows=[[2, 3], [5, 1]])                       # negative, -13
-@example(rows=[[1, 2, 3], [2, 4, 6], [0, 1, 5]])       # singular
-@example(rows=[[0, 2, 1], [3, 1, 4], [1, 5, 9]])       # swap at the start
-@example(rows=[[4, 2, 7], [2, 1, 9], [3, 8, 1]])       # swap after a step
-def test_modular_det_matches_bareiss(rows):
-    assert modular_det(rows) == bareiss_det([list(r) for r in rows])
-
-
-@PROPERTY
-@given(data=st.data(), size=st.integers(1, 6), multiple=st.integers(-3, 3))
-def test_modular_det_with_a_residue_of_zero(data, size, multiple):
-    # L @ U with unit lower-triangular L and det U a multiple of the first
-    # prime, then rows permuted: det mod that prime is 0 while det may not be.
-    small = st.integers(-3, 3)
-    lower = np.eye(size, dtype=np.int64)
-    upper = np.zeros((size, size), dtype=np.int64)
+@st.composite
+def dominant_matrices(draw):
+    """Symmetric and strictly diagonally dominant with a positive diagonal,
+    so positive definite: order 1-7, about half the off-diagonal zeros."""
+    size = draw(st.integers(1, 7))
+    rows = [[0] * size for _ in range(size)]
     for i in range(size):
-        lower[i, :i] = data.draw(st.lists(small, min_size=i, max_size=i))
-        upper[i, i + 1:] = data.draw(
-            st.lists(small, min_size=size - i - 1, max_size=size - i - 1))
-        upper[i, i] = data.draw(st.integers(1, 3))
-    upper[0, 0] = multiple * oracle._prime(0)
-    order = data.draw(st.permutations(range(size)))
-    rows = (lower @ upper)[list(order)].tolist()
-    want = bareiss_det([list(r) for r in rows])
-    assert want % oracle._prime(0) == 0
-    assert modular_det(rows) == want
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.just(0) | st.integers(-9, 9))
+    for i, row in enumerate(rows):
+        row[i] = sum(map(abs, row)) + draw(st.integers(1, 9))
+    return rows
 
 
 def test_modular_det_hand_cases():
     first = oracle._prime(0)
-    assert modular_det([]) == 1
-    assert modular_det([[-5]]) == -5
-    assert modular_det([[0, 1], [1, 0]]) == -1
-    assert modular_det([[0, 0], [0, 3]]) == 0
-    assert modular_det([[first, 1], [0, 3]]) == 3 * first
-    assert modular_det([[first, 1], [first, 1 - first]]) == -first * first
     # A tight bound: one prime covers |det| but not twice it.
     for det in (first - 1, 1 - first):
-        assert oracle._modular_det(np.array([[det]]), first - 1) == det
+        assert oracle._crt(lambda primes: [(det % p,) for p in primes],
+                           first - 1, 1, 1) == [det]
+    empty = np.zeros((0, 0), dtype=np.int64)
+    [(det, adj)] = oracle._eliminate_mod(empty, empty, (), [first])
+    assert det == 1 and adj.shape == (0, 0)
     with pytest.raises(ValueError):
-        oracle._modular_det(np.zeros((oracle.MAX_MODULAR_ORDER,) * 2,
-                                     dtype=np.int64), 1)
+        order = oracle.MAX_MODULAR_ORDER
+        oracle._eliminate_mod(np.zeros((order, order), dtype=np.int64),
+                              np.zeros((order, 0), dtype=np.int64), (),
+                              [first])
 
 
 def test_primes_are_the_largest_below_the_limit():
@@ -240,14 +209,13 @@ def test_matrix_tree_drop_choice_on_a_large_graph():
     assert len(counts) == 1
 
 
-def test_reduced_laplacian_is_in_kept_degree_order(corpus):
+def test_reduced_laplacian_is_in_elimination_order(corpus):
     cases = list(corpus.values()) + [
         graphs.iterate_transform(cycle_graph(5), 3, 2),
         random_connected_graph(random.Random(7), 50, 40)]
     for graph in cases:
         for drop in (0, graph.vertex_count - 1):
-            minor, kept = oracle._reduced_laplacian(graph, drop)
-            assert kept == sorted(kept)
+            minor, kept, ends = oracle._reduced_laplacian(graph, drop)
             assert sorted(kept) == sorted(
                 graph.degrees[:drop] + graph.degrees[drop + 1:])
             assert minor.diagonal().tolist() == kept
@@ -255,6 +223,11 @@ def test_reduced_laplacian_is_in_kept_degree_order(corpus):
             assert minor.sum() == graph.degrees[drop]
             assert (minor == -1).sum() \
                 == 2 * (len(graph.edges) - graph.degrees[drop])
+            # rounds tile the order, and a round's pivots are independent
+            assert list(ends) == sorted(set(ends)) and ends[-1] == len(minor)
+            for k, stop in zip((0, *ends), ends):
+                block = minor[k:stop, k:stop]
+                assert np.array_equal(block, np.diag(block.diagonal()))
 
 
 def test_matrix_tree_count_at_366_vertices():
@@ -273,123 +246,84 @@ def adjugate(rows):
         for j in range(size)] for i in range(size)]
 
 
+def assert_solved(mat, rhs, ends, primes, trees=None):
+    """_eliminate_mod on a positive-definite mat in the order of ends.
+
+    Below order 100 a prime gets None exactly when it divides a leading
+    minor, and det is the last minor mod p; above, det is trees mod p.
+    adj(mat) @ rhs is the cofactor reference up to order 12; at any order
+    it is the X with mat @ X = det * rhs mod p, unique as det != 0.
+    """
+    results = oracle._eliminate_mod(mat, rhs, ends, primes)
+    minors = leading_minors(mat.tolist()) if len(mat) < 100 else None
+    trees = minors[-1] if minors else trees
+    cofactors = np.array(adjugate(mat.tolist()), dtype=object) \
+        if len(mat) <= 12 else None
+    for p, solved in zip(primes, results, strict=True):
+        if minors:
+            assert (solved is None) == any(m % p == 0 for m in minors)
+        if solved is None:
+            continue
+        det, adj_rhs = solved
+        assert det == trees % p
+        if cofactors is not None:
+            assert adj_rhs.tolist() == (cofactors @ rhs % p).tolist()
+        assert np.array_equal(mat @ adj_rhs % p, det * rhs % p)
+
+
 @PROPERTY
-@given(rows=SQUARE_MATRICES, width=st.integers(0, 3), data=st.data())
-def test_eliminate_mod_gives_det_and_adjugate_times_rhs(rows, width, data):
-    size = len(rows)
-    rhs = data.draw(st.lists(
-        st.lists(st.integers(-9, 9), min_size=width, max_size=width),
-        min_size=size, max_size=size))
-    p = oracle._prime(0)
-    [(det, adj_rhs)] = oracle._eliminate_mod(
-        np.array(rows, dtype=np.int64).reshape(size, size),
-        np.array(rhs, dtype=np.int64).reshape(size, width), [p])
-    assert det == bareiss_det([list(r) for r in rows]) % p
-    if not det:
-        assert adj_rhs is None
-        return
-    adj = adjugate([list(r) for r in rows])
-    assert adj_rhs.tolist() == [
-        [sum(adj[i][k] * rhs[k][j] for k in range(size)) % p
-         for j in range(width)] for i in range(size)]
+@given(rows=dominant_matrices(), width=st.integers(0, 3),
+       seed=st.integers())
+@example(rows=[[5, 1, 0], [1, 7, 2], [0, 2, 3]], width=2, seed=0)
+@example(rows=[[3, 0, 0], [0, 5, 0], [0, 0, 7]], width=1, seed=0)
+def test_eliminate_mod_gives_det_and_adjugate_times_rhs(rows, width, seed):
+    # In _rounds' order with 3, 5 and 7 in one batch, zero pivots are
+    # common, and each prime must get None or its values on its own.
+    size, rng = len(rows), random.Random(seed)
+    order, ends = oracle._rounds(np.array(rows) != 0)
+    mat = np.array(rows, dtype=np.int64)[np.ix_(order, order)]
+    rhs = np.array([[rng.randint(-9, 9) for _ in range(width)]
+                    for _ in range(size)], dtype=np.int64).reshape(size, width)
+    assert_solved(mat, rhs, ends, [3, 5, 7, oracle._prime(0)])
 
 
 def test_eliminate_mod_with_a_residue_of_zero():
-    # det = -2 * first: zero mod the first prime, which gives no adjugate.
+    # det = first: the second pivot, first / (first + 1), is zero mod the
+    # first prime, which gets None; the second prime still gets adj.
     first, second = oracle._prime(0), oracle._prime(1)
-    mat = np.array([[3 * first, 17], [first, 5]], dtype=np.int64)
-    identity = np.eye(2, dtype=np.int64)
-    assert oracle._eliminate_mod(mat, identity, [first])[0] == (0, None)
-    [(det, adj)] = oracle._eliminate_mod(mat, identity, [second])
-    assert det == -2 * first % second
-    assert adj.tolist() == [[5, second - 17],
-                            [(-first) % second, 3 * first % second]]
-
-
-@PROPERTY
-@given(rows=SQUARE_MATRICES, width=st.integers(0, 3), seed=st.integers())
-@example(rows=[[0, 3], [3, 0]], width=1, seed=0)      # 3: a zero column
-@example(rows=[[5, 1, 0], [1, 7, 2], [0, 2, 3]], width=2, seed=0)
-def test_eliminate_mod_batch_with_small_primes(rows, width, seed):
-    # With 3, 5 and 7 in the batch, zero pivots and zero residues are
-    # common, and each prime must swap, flip its sign or stop on its own.
-    size, rng = len(rows), random.Random(seed)
-    rhs = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(size)]
-    primes = [3, 5, 7, oracle._prime(0)]
-    results = oracle._eliminate_mod(
-        np.array(rows, dtype=np.int64).reshape(size, size),
-        np.array(rhs, dtype=np.int64).reshape(size, width), primes)
-    assert len(results) == len(primes)
-    want = bareiss_det([list(r) for r in rows])
-    adj = adjugate([list(r) for r in rows])
-    for p, (det, adj_rhs) in zip(primes, results):
-        assert det == want % p
-        if not det:
-            assert adj_rhs is None
-            continue
-        assert adj_rhs.tolist() == [
-            [sum(adj[i][k] * rhs[k][j] for k in range(size)) % p
-             for j in range(width)] for i in range(size)]
+    mat = np.array([[first + 1, 1], [1, 1]], dtype=np.int64)
+    none, (det, adj) = oracle._eliminate_mod(
+        mat, np.eye(2, dtype=np.int64), (1, 2), [first, second])
+    assert none is None and det == first % second
+    assert adj.tolist() == [[1, second - 1],
+                            [second - 1, (first + 1) % second]]
 
 
 def test_eliminate_mod_on_grown_minors(corpus):
     # A grown graph's newest path vertices are eliminated as one round, and
     # with 3, 5 and 7 in the batch zero pivots come up in the middle of a
-    # round, so rounds must give way to one pivot per step with swaps.
-    # adj(M) mod p is the X with M @ X = X @ M = det * I mod p when det is
-    # nonzero mod p; the cofactor reference checks it directly up to
-    # order 12. Bareiss checks det up to 100 vertices, the closed-form tree
-    # count above.
+    # round. The closed-form tree count holds det past 100 vertices.
     primes = [3, 5, 7, oracle._prime(0)]
     for graph in corpus.values():
         base = bareiss_tree_count(graph)
         for n, g in [(2, 0), *((n, g) for n in (2, 3, 4) for g in (1, 2))]:
             grown = graphs.iterate_transform(graph, n, g)
-            minor, _ = oracle._reduced_laplacian(grown, 0)
-            trees = bareiss_tree_count(grown) if grown.vertex_count <= 100 \
-                else invariants.spanning_trees_closed(
-                    base, graph.vertex_count, len(graph.edges), n, g)
-            identity = np.eye(len(minor), dtype=np.int64)
-            cofactors = adjugate(minor.tolist()) if len(minor) <= 12 else None
-            results = oracle._eliminate_mod(minor, identity, primes)
-            for p, (det, adj) in zip(primes, results):
-                assert det == trees % p
-                if not det:
-                    assert adj is None
-                    continue
-                assert np.array_equal(minor @ adj % p, det * identity)
-                assert np.array_equal(adj @ minor % p, det * identity)
-                if cofactors is not None:
-                    assert adj.tolist() == [[v % p for v in row]
-                                            for row in cofactors]
+            minor, _, ends = oracle._reduced_laplacian(grown, 0)
+            trees = base if not g else invariants.spanning_trees_closed(
+                base, graph.vertex_count, len(graph.edges), n, g)
+            assert_solved(minor, np.eye(len(minor), dtype=np.int64), ends,
+                          primes, trees)
 
 
-def test_a_grown_graph_is_eliminated_in_seven_rounds(monkeypatch):
+def test_a_grown_graph_is_eliminated_in_seven_rounds():
     # Triangle n=2 g=5: the 243, 81, 27, 9 and 3 newest path vertices go
     # in one round per layer, then the last two vertices one by one. One
-    # pivot per step would read 365 round starts per batch.
+    # pivot per step would make 365 rounds.
     grown = graphs.iterate_transform(complete_graph(3), 2, 5)
     assert grown.vertex_count == 366
-    starts = []
-    plan = oracle._rounds
-
-    class Ends(tuple):
-        def __getitem__(self, k):
-            starts.append(k)
-            return super().__getitem__(k)
-
-    def spy(size, pattern):
-        place, ends = plan(size, pattern)
-        return place, Ends(ends)
-
-    monkeypatch.setattr(oracle, "_rounds", spy)
-    batches = []
-    kernel = oracle._eliminate_mod
-    monkeypatch.setattr(oracle, "_eliminate_mod", lambda mat, rhs, primes:
-                        batches.append(primes) or kernel(mat, rhs, primes))
-    assert oracle.matrix_tree_count(grown) \
-        == invariants.spanning_trees_closed(3, 3, 3, 2, 5)
-    assert starts == [0, 243, 324, 351, 360, 363, 364] * len(batches)
+    _, _, ends = oracle._reduced_laplacian(grown, 0)
+    assert [0, *ends[:-1]] == [0, 243, 324, 351, 360, 363, 364]
+    assert ends[-1] == 365
 
 
 def test_batches_stay_within_the_byte_budget(monkeypatch):
@@ -400,9 +334,9 @@ def test_batches_stay_within_the_byte_budget(monkeypatch):
     sizes = []
     kernel = oracle._eliminate_mod
 
-    def spy(mat, rhs, primes):
+    def spy(mat, rhs, ends, primes):
         sizes.append(8 * len(primes) * len(mat) * (len(mat) + rhs.shape[1]))
-        return kernel(mat, rhs, primes)
+        return kernel(mat, rhs, ends, primes)
 
     monkeypatch.setattr(oracle, "_eliminate_mod", spy)
     assert oracle.kirchhoff_tree_count(graph) == want
@@ -411,21 +345,21 @@ def test_batches_stay_within_the_byte_budget(monkeypatch):
 
 def test_kirchhoff_skips_primes_that_divide_the_tree_count(monkeypatch):
     # The Petersen graph has 2000 = 2**4 * 5**3 spanning trees. With 5 put
-    # first in the prime list, the first elimination has a zero residue.
+    # first in the prime list, a pivot is zero mod 5, which gets None.
     primes = [5] + [oracle._prime(i) for i in range(4)]
     monkeypatch.setattr(oracle, "_PRIMES", primes)
     seen = []
     kernel = oracle._eliminate_mod
 
-    def spy(mat, rhs, primes):
-        results = kernel(mat, rhs, primes)
-        seen.extend((p, det) for p, (det, _) in zip(primes, results))
+    def spy(mat, rhs, ends, primes):
+        results = kernel(mat, rhs, ends, primes)
+        seen.extend(zip(primes, results))
         return results
 
     monkeypatch.setattr(oracle, "_eliminate_mod", spy)
     assert oracle.kirchhoff_tree_count(petersen_graph()) \
         == (Fraction(297), 2000)
-    assert seen[0] == (5, 0)
+    assert seen[0] == (5, None)
     assert [p for p, _ in seen[1:]] == primes[1:len(seen)]
 
 
@@ -459,6 +393,22 @@ def test_oracle_imports_only_graphs_from_the_package():
             internal.update(alias.name for alias in node.names
                             if alias.name.split(".")[0] == "ngonspec")
     assert internal == {".graphs"}
+
+
+def test_eliminate_mod_is_called_only_by_the_tree_counts():
+    # The kernel skips a prime that meets a zero pivot, which ends only for
+    # a positive-definite matrix: these callers pass a connected graph's
+    # reduced Laplacian.
+    callers = set()
+    for path in Path(oracle.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            callers.update(
+                (path.stem, getattr(top, "name", None))
+                for node in ast.walk(top) if isinstance(node, ast.Call)
+                and "_eliminate_mod" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None)))
+    assert callers == {("oracle", "matrix_tree_count"),
+                       ("oracle", "kirchhoff_tree_count")}
 
 
 def test_compare_spectra():
