@@ -74,10 +74,18 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _column(cells, kinds: set, json: bool) -> tuple[str, list]:
+def _column(cells, json: bool, kinds: set | None = None) -> tuple[str, list]:
     """(% conversion, values) of a column whose cells have the types in
     kinds: uniform float, int and plain str columns convert their cells,
-    any other column its cells' text."""
+    any other column its cells' text. A float64 array is a float column
+    by its dtype alone."""
+    if isinstance(cells, np.ndarray):
+        if cells.dtype == np.float64 and (not json
+                                          or np.isfinite(cells).all()):
+            return "%.17g", cells.tolist()
+        cells = cells.tolist()
+    if kinds is None:
+        kinds = set(map(type, cells))
     if kinds == {float} and (not json or all(map(math.isfinite, cells))):
         return "%.17g", cells
     if kinds == {int}:
@@ -103,7 +111,7 @@ def _blocks(row: str, sep: str, columns):
 def _table_parts(table: Table, json: bool, pad: str = ""):
     """A table's rows in blocks: JSON objects joined by ",\n", or CSV
     lines without the header."""
-    formats, columns = zip(*(_column(column, set(map(type, column)), json)
+    formats, columns = zip(*(_column(column, json)
                              for column in table.columns))
     if json:
         return _blocks(pad + "{" + ", ".join(
@@ -146,7 +154,7 @@ def _json_parts(value, indent: int = 0):
             yield (",\n" if i else "") + pad
             yield from _json_parts(v, indent + 1)
     else:
-        conversion, cells = _column(value, kinds, True)
+        conversion, cells = _column(value, True, kinds)
         yield from _blocks(pad + conversion, ",\n", [cells])
     yield close + "]"
 
@@ -180,8 +188,10 @@ def _cmd_transform(ns, graph: graphs.Graph):
 def _cmd_spectrum(ns, graph: graphs.Graph):
     spec, counts = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
                                              ns.n, ns.g)
+    mults = spec.multiplicities.tolist()
+    text = {mult: str(mult) for mult in set(mults)}
     table = Table(("value", "multiplicity", "source"), [
-        spec.values.tolist(), list(map(str, spec.multiplicities.tolist())),
+        spec.values, list(map(text.__getitem__, mults)),
         spec.source_labels()])
     return 0, {"meta": _meta(ns.n, ns.g, counts), "spectrum": table}, table
 
@@ -226,6 +236,10 @@ def _cmd_invariants(ns, graph: graphs.Graph):
 
 
 def _cmd_verify(ns, graph: graphs.Graph):
+    order = graph.counts.grown(ns.n, ns.g).vertices
+    if order > oracle.DENSE_ORDER_CAP:  # refused before anything is built
+        raise graphs.CapExceededError(order, oracle.DENSE_ORDER_CAP,
+                                      "dense eigensolve")
     explicit = graphs.iterate_transform(graph, ns.n, ns.g, ns.explicit_cap)
     spec, counts = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
                                              ns.n, ns.g)

@@ -40,6 +40,9 @@ import numpy as np
 from .graphs import CapExceededError, Graph, GraphError
 
 TREE_COUNT_CAP = 400
+# Largest order of the dense Laplacian that verify eigensolves: 8 N**2
+# bytes, 128 MiB at 4096, and eigvalsh works on a copy of the same size.
+DENSE_ORDER_CAP = 4096
 PRIME_LIMIT = 2 ** 26       # moduli stay below this, so p**2 < 2**52
 MAX_MODULAR_ORDER = 2048    # order * p**2 must stay below 2**63
 MODULAR_BATCH_BYTES = 2 ** 24  # cap on one batch's (P, n, n + m) int64 array
@@ -102,11 +105,12 @@ def eig_sym(matrix: DenseSymMatrix) -> np.ndarray:
     if m.shape != (matrix.order, matrix.order):
         raise ValueError(
             f"entries shape {m.shape} does not match order {matrix.order}")
-    # max |m| and the symmetry check without an N x N temporary
+    # max |m| and the symmetry check without an N x N temporary; a row
+    # block meets the blocks from its own on, so each pair is checked once
     scale = max(1.0, float(m.max(initial=0.0)), -float(m.min(initial=0.0)))
     for start in range(0, len(m), SYMMETRY_BLOCK_ROWS):
         rows = slice(start, start + SYMMETRY_BLOCK_ROWS)
-        gap = m[rows] - m[:, rows].T
+        gap = m[rows, start:] - m[start:, rows].T
         if float(np.max(np.abs(gap, out=gap), initial=0.0)) > 1e-14 * scale:
             raise ValueError("matrix is not symmetric")
     return np.linalg.eigvalsh(m)

@@ -89,8 +89,11 @@ def family_polynomial(family: RootFamily) -> list[Fraction]:
 
 def _x_of_theta(theta):
     """1 - cos(theta) without cancellation near theta = 0."""
-    return np.where(theta < np.pi / 2, 2.0 * np.sin(0.5 * theta) ** 2,
-                    1.0 - np.cos(theta))
+    small = theta < np.pi / 2
+    x = np.empty_like(theta)
+    x[small] = 2.0 * np.sin(0.5 * theta[small]) ** 2
+    x[~small] = 1.0 - np.cos(theta[~small])
+    return x
 
 
 def _recurrence(x, top: int, pair: bool = False):
@@ -101,10 +104,11 @@ def _recurrence(x, top: int, pair: bool = False):
     """
     zero = np.zeros_like(x)
     prev = cur = (zero, zero + 1.0, zero, zero)  # k = -1: a = 0, d = 1
+    two_x = 2.0 * x
     for _ in range(top + 1):
         a, d, da, dd = cur
-        d_next = d - 2.0 * x * a
-        dd_next = dd - 2.0 * a - 2.0 * x * da
+        d_next = d - two_x * a
+        dd_next = dd - 2.0 * a - two_x * da
         prev, cur = cur, (a + d_next, d_next, da + dd_next, dd_next)
     if pair:
         return tuple(u + v for u, v in zip(prev, cur))
@@ -190,10 +194,6 @@ def solve_lambda_many(n: int, lams) -> np.ndarray:
         return np.empty((0, degree))
     k = np.arange(1, degree + 1)
     edges = np.minimum(2.0 * np.arange(degree + 1) * np.pi / (n + 1), np.pi)
-    lo = np.tile(edges[:-1], (lams.size, 1))
-    hi = np.tile(edges[1:], (lams.size, 1))
-    lo_sign = np.where(k % 2, 1.0, -1.0)  # sign of F at theta_{k-1}
-    lam = lams[:, None]
     # Start from tan(n theta/2) tan(theta/2) = r, an equivalent form of F = 0,
     # with tan(theta/2) frozen at the bracket midpoint. Near theta = 0, and
     # near pi for odd n, F is flat and Newton would crawl, so there the guess
@@ -204,34 +204,57 @@ def solve_lambda_many(n: int, lams) -> np.ndarray:
     theta[:, 0] = _edge_angle(n, n * r)
     if n % 2:
         theta[:, -1] = np.pi - _edge_angle(n, n / r)
-    active = np.ones(theta.shape, dtype=bool)
+    # One row per quantity and one column per root at flat position live
+    # of theta: the angle, its bracket, lam, the lam term of dF/dtheta and
+    # the sign of F at the bracket's left end. Once most roots have
+    # settled, the columns of the others are all that is kept.
+    state = np.empty((6,) + theta.shape)
+    state[0], state[1], state[2] = theta, edges[:-1], edges[1:]
+    state[3] = lams[:, None]
+    state[4] = -0.5 * (n - 1) * state[3]
+    state[5] = np.where(k % 2, 1.0, -1.0)
+    state = state.reshape(6, -1)
+    theta = theta.ravel()
+    live = np.arange(theta.size)
+    active = np.ones(theta.size, dtype=bool)
     for _ in range(NEWTON_MAX_STEPS):
-        su, cu = np.sin(0.5 * n * theta), np.cos(0.5 * n * theta)
-        sv, cv = np.sin(0.5 * theta), np.cos(0.5 * theta)
+        t, lo, hi, lam, slope, lo_sign = state
+        su, cu = np.sin(0.5 * n * t), np.cos(0.5 * n * t)
+        sv, cv = np.sin(0.5 * t), np.cos(0.5 * t)
+        sucv = su * cv
         near, far = lam * (cu * cv + su * sv), 2.0 * su * sv
         f = near - far
         # at rounding level F gives no further information
         settled = np.abs(f) <= NEWTON_RTOL * (np.abs(near) + np.abs(far))
-        df = (-0.5 * (n - 1) * lam * (su * cv - cu * sv)
-              - n * cu * sv - su * cv)
+        df = slope * (sucv - cu * sv) - n * cu * sv - sucv
         below = f * lo_sign > 0.0
-        lo = np.where(below, theta, lo)
-        hi = np.where(below, hi, theta)
+        np.copyto(lo, t, where=below)
+        np.copyto(hi, t, where=~below)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = theta - f / df
-        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        moved = np.abs(step - theta) > NEWTON_RTOL * step
-        theta = np.where(active & ~settled, step, theta)
-        active &= moved & ~settled
-        if not active.any():
+            step = t - f / df
+        np.copyto(step, 0.5 * (lo + hi), where=~((step >= lo) & (step <= hi)))
+        moved = np.abs(step - t) > NEWTON_RTOL * step
+        active &= ~settled
+        np.copyto(t, step, where=active)
+        active &= moved
+        left = np.count_nonzero(active)
+        if not left:
             break
+        if 2 * left <= len(active):
+            theta[live] = t
+            state, live, active = state[:, active], live[active], active[active]
+    theta[live] = state[0]
+    theta = theta.reshape(lams.size, degree)
+
+    lam = lams[:, None]
 
     def value(x):
         # lambda_polynomial in difference form, lam (d_m + d_{m-1}) - 2x (a_m
         # + a_{m-1}) for n = 2m + 1 and lam d_{m-1} - 2x a_{m-1} for n = 2m:
         # about lam near x = 0, with no cancellation
         a, d, da, dd = _recurrence(x, (n - 1) // 2, pair=bool(n % 2))
-        return lam * d - 2.0 * x * a, lam * dd - 2.0 * a - 2.0 * x * da
+        two_x = 2.0 * x
+        return lam * d - two_x * a, lam * dd - 2.0 * a - two_x * da
 
     return _polish(_x_of_theta(theta), _x_of_theta(edges[:-1]),
                    _x_of_theta(edges[1:]), value)

@@ -106,9 +106,8 @@ class Spectrum:
         """Export tag per row; each distinct lifted origin formatted once."""
         lifted = self.sources == _LIFTED
         origins, slot = np.unique(self.origins[lifted], return_inverse=True)
-        labels = np.array([*SOURCES, *("lifted(%.17g)" % o
-                                       for o in origins.tolist())],
-                          dtype=object)
+        text = "lifted(%.17g)\n" * len(origins) % tuple(origins.tolist())
+        labels = np.array([*SOURCES, *text.split("\n")[:-1]], dtype=object)
         codes = self.sources.astype(np.intp)
         codes[lifted] = len(SOURCES) + slot
         return labels[codes].tolist()
@@ -165,8 +164,8 @@ def base_spectrum(graph: Graph) -> tuple[Spectrum, GrowthCounts]:
     return Spectrum.from_entries(entries), counts
 
 
-def transform_spectrum(spec: Spectrum, counts: GrowthCounts,
-                       n: int) -> tuple[Spectrum, GrowthCounts]:
+def transform_spectrum(spec: Spectrum, counts: GrowthCounts, n: int,
+                       solve=None) -> tuple[Spectrum, GrowthCounts]:
     """One transform step on the spectrum level.
 
     Output multiplicities: the zero-type family carries N, the others carry
@@ -174,7 +173,8 @@ def transform_spectrum(spec: Spectrum, counts: GrowthCounts,
     input is not bipartite), each base eigenvalue off {0, 2} contributes
     its transfer roots with its own multiplicity, 0 enters once, and 2
     enters once exactly when the output is bipartite. The total must close
-    to the grown vertex count.
+    to the grown vertex count. solve(lams), if given, stands in for
+    roots.solve_lambda_many(n, lams).
     """
     out = counts.grown(n)
     _check_input(spec, counts)
@@ -203,7 +203,7 @@ def transform_spectrum(spec: Spectrum, counts: GrowthCounts,
                        mult, tag))
     inner = (spec.sources != ZERO_CODE) & (spec.sources != TWO_CODE)
     lams = spec.values[inner]
-    table = roots.solve_lambda_many(n, lams)
+    table = roots.solve_lambda_many(n, lams) if solve is None else solve(lams)
     # Each parent, a fixed block or one eigenvalue off {0, 2} with its row
     # of the transfer table, passes its multiplicity, tag and origin on.
     fixed, fixed_mults, tags = zip(*blocks)
@@ -220,18 +220,52 @@ def transform_spectrum(spec: Spectrum, counts: GrowthCounts,
     if total != out.vertices:
         raise RuntimeError(
             f"multiplicity ledger mismatch: {total} != {out.vertices}")
-    order = np.lexsort((origins, codes, values))
+    order = np.argsort(values)  # the one ascending order of distinct values
+    ordered = values[order]
+    if (ordered[1:] == ordered[:-1]).any():  # ties go by source, then origin
+        order = np.lexsort((origins, codes, values))
     return Spectrum(values[order], mults[order], codes[order],
                     origins[order]), out
 
 
+def _reusing_solver(n: int):
+    """roots.solve_lambda_many(n, lams) for ascending lams, solving each
+    distinct value once and only if the previous call did not have it.
+
+    Every generation adds the same family roots, so from the third on, part
+    of the parents repeat the last generation's. A root depends on its own
+    lam alone, so a reused row has the bits a new solve would give.
+    """
+    seen, rows = np.empty(0), np.empty((0, (n + 1) // 2))
+
+    def solve(lams: np.ndarray) -> np.ndarray:
+        nonlocal seen, rows
+        first = np.ones(len(lams), dtype=bool)  # first of a run of equals
+        first[1:] = lams[1:] != lams[:-1]
+        distinct = lams[first]
+        at = np.searchsorted(seen, distinct)
+        known = at < len(seen)
+        known[known] = seen[at[known]] == distinct[known]
+        table = np.empty((len(distinct), rows.shape[1]))
+        table[known] = rows[at[known]]
+        table[~known] = roots.solve_lambda_many(n, distinct[~known])
+        seen, rows = distinct, table
+        return table if len(table) == len(lams) else table[np.cumsum(first) - 1]
+    return solve
+
+
 def iterate_spectrum(spec: Spectrum, counts: GrowthCounts, n: int,
                      g: int) -> tuple[Spectrum, GrowthCounts]:
-    """g-fold spectrum transfer; g = 0 returns the input unchanged."""
+    """g-fold spectrum transfer; g = 0 returns the input unchanged.
+
+    Parents repeated from one generation to the next are solved once; the
+    rows are kept for one generation of this call only.
+    """
     if g < 0:
         raise ValueError(f"generation must be nonnegative, got {g}")
+    solve = _reusing_solver(n)
     for _ in range(g):
-        spec, counts = transform_spectrum(spec, counts, n)
+        spec, counts = transform_spectrum(spec, counts, n, solve)
     return spec, counts
 
 

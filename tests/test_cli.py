@@ -251,6 +251,19 @@ def test_one_line_file_with_a_huge_id_exits_one_at_once(tmp_path, largest):
     assert seconds < 1.0
 
 
+def test_verify_past_the_dense_cap_exits_two_at_once(tmp_path):
+    # 29,526 vertices, under the explicit cap; the dense Laplacian alone
+    # would take 6.5 GiB
+    path = write(tmp_path, "k3.txt", TRIANGLE)
+    code, err, seconds = run_cli_process(["verify", path, "--n", "2",
+                                          "--g", "9"])
+    assert (code, err) == (2, "error: dense eigensolve needs 29526 "
+                           f"vertices, cap is {oracle.DENSE_ORDER_CAP}\n")
+    assert seconds < 1.0
+    assert 1825 <= oracle.DENSE_ORDER_CAP < 29526 \
+        <= graphs.DEFAULT_EXPLICIT_CAP
+
+
 def test_flag_errors_exit_one(tmp_path, capsys):
     for argv in (["spectrum", "somefile"],         # --n is required
                  ["not-a-command"],
@@ -485,6 +498,19 @@ def test_writer_matches_the_reference_writer(rows, data):
     assert_same_text(cli._json_text(table), reference_json_text(table))
     assert_same_text(cli._json_text(document), reference_json_text(document))
     assert_same_text(written("csv", None, table), reference_csv_text(table))
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_float_array_columns_print_as_their_lists(rows):
+    pool = [0.1, -0.0, 5e-324, 1e308, 1.5, math.inf, -math.inf, math.nan]
+    for cells in ([pool[i % 5] for i in range(rows)],
+                  [pool[i % len(pool)] for i in range(rows)]):
+        array = cli.Table(("v", "w"), [np.array(cells), ["a"] * rows])
+        plain = cli.Table(("v", "w"), [cells, ["a"] * rows])
+        assert cli._json_text(array) == cli._json_text(plain)
+        assert written("csv", None, array) == written("csv", None, plain)
+    if rows > 5:
+        assert ' {"v": null, "w": "a"}' in cli._json_text(array)
 
 
 def test_header_keys_may_hold_braces():

@@ -99,6 +99,21 @@ def test_eig_checks_symmetry_past_the_first_row_block():
     assert oracle.eig_sym(oracle.DenseSymMatrix(order, late)).shape == (order,)
 
 
+@pytest.mark.parametrize("row, column", [(-1, 0), (-1, 300), (-1, -2),
+                                         (300, 0), (300, 299)])
+def test_eig_checks_each_block_pair_for_symmetry(row, column):
+    # three row blocks; the one asymmetric entry lies below the diagonal
+    order = 2 * oracle.SYMMETRY_BLOCK_ROWS + 44
+    row, column = row % order, column % order
+    assert row > column
+    m = np.identity(order)
+    m[row, column] = 1e-13
+    with pytest.raises(ValueError, match="not symmetric"):
+        oracle.eig_sym(oracle.DenseSymMatrix(order, m))
+    m[column, row] = 1e-13
+    assert oracle.eig_sym(oracle.DenseSymMatrix(order, m)).shape == (order,)
+
+
 def test_eig_range_and_trace():
     import random
     graph = random_connected_graph(random.Random(99), 11, 8)

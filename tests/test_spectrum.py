@@ -314,3 +314,60 @@ def test_cached_family_roots_leave_the_transfer_unchanged(monkeypatch,
                                       getattr(want, column))
             assert got.multiplicities.tolist() \
                 == want.multiplicities.tolist()
+
+
+def chained(base, n, limit):
+    """transform_spectrum applied alone, generation after generation, up to
+    g = 6 or until the spectrum has more than limit entries."""
+    chain = [base]
+    while len(chain) <= 6 and len(chain[-1][0].values) <= limit:
+        chain.append(spectrum.transform_spectrum(*chain[-1], n))
+    return len(chain) - 1, chain[-1]
+
+
+def test_reused_rows_equal_a_fresh_solve(monkeypatch, corpus):
+    solve = roots.solve_lambda_many
+    calls = []
+
+    def counted(run):
+        calls.clear()
+        monkeypatch.setattr(roots, "solve_lambda_many", lambda n, lams: (
+            calls.append(np.asarray(lams)) or solve(n, lams)))
+        result = run()
+        monkeypatch.setattr(roots, "solve_lambda_many", solve)
+        return result, sum(map(len, calls))
+
+    fresh = reused = 0
+    for graph in corpus.values():  # K3 at n = 2: base 1.5 is a family root
+        base = spectrum.base_spectrum(graph)
+        for n in range(2, 10):
+            (g, (want, want_counts)), rows = counted(
+                lambda: chained(base, n, 2000))
+            fresh += rows
+            (got, got_counts), rows = counted(
+                lambda: spectrum.iterate_spectrum(*base, n, g))
+            reused += rows
+            assert got_counts == want_counts
+            for column in ("values", "sources", "origins"):
+                assert getattr(got, column).tobytes() \
+                    == getattr(want, column).tobytes()
+            assert got.multiplicities.tolist() \
+                == want.multiplicities.tolist()
+            # each call solves distinct values the call before did not have
+            for before, lams in zip([np.empty(0)] + calls, calls):
+                assert len(np.unique(lams)) == len(lams)
+                assert not np.isin(lams, before).any()
+    assert reused < 0.9 * fresh
+
+def test_reusing_solver_solves_each_new_value_once(monkeypatch):
+    solve = roots.solve_lambda_many
+    calls = []
+    monkeypatch.setattr(roots, "solve_lambda_many",
+                        lambda n, lams: calls.append(lams) or solve(n, lams))
+    reusing = spectrum._reusing_solver(5)
+    first = np.array([0.25, 0.5, 0.5, 1.5])
+    second = np.array([0.5, 0.75, 0.75, 1.5, 1.75])
+    for lams in (first, second, np.empty(0)):
+        assert reusing(lams).tobytes() == solve(5, lams).tobytes()
+    assert [lams.tolist() for lams in calls] \
+        == [[0.25, 0.5, 1.5], [0.75, 1.75], []]
