@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import graphs, invariants, oracle, roots, spectrum
+from . import floattext, graphs, invariants, oracle, roots, spectrum
 
 _ENCODE = json.encoder.encode_basestring_ascii  # json.dumps of a str
 _FROM_SPECTRUM, _CLOSED_FORM = "from-spectrum", "closed-form"  # row methods
@@ -78,11 +78,11 @@ def _column(cells, json: bool, kinds: set | None = None) -> tuple[str, list]:
     """(% conversion, values) of a column whose cells have the types in
     kinds: uniform float, int and plain str columns convert their cells,
     any other column its cells' text. A float64 array is a float column
-    by its dtype alone."""
+    by its dtype alone, and its text comes from floattext."""
     if isinstance(cells, np.ndarray):
         if cells.dtype == np.float64 and (not json
                                           or np.isfinite(cells).all()):
-            return "%.17g", cells.tolist()
+            return "%s", floattext.g17(cells)
         cells = cells.tolist()
     if kinds is None:
         kinds = set(map(type, cells))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import aseries, oracle, roots
+from . import aseries, floattext, oracle, roots
 from .graphs import Graph, GrowthCounts
 
 CLUSTER_TOL = 1e-7   # numeric eigenvalues closer than this merge
@@ -106,7 +106,7 @@ class Spectrum:
         """Export tag per row; each distinct lifted origin formatted once."""
         lifted = self.sources == _LIFTED
         origins, slot = np.unique(self.origins[lifted], return_inverse=True)
-        text = "lifted(%.17g)\n" * len(origins) % tuple(origins.tolist())
+        text = "lifted(%s)\n" * len(origins) % tuple(floattext.g17(origins))
         labels = np.array([*SOURCES, *text.split("\n")[:-1]], dtype=object)
         codes = self.sources.astype(np.intp)
         codes[lifted] = len(SOURCES) + slot
