@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 LOW, HIGH = 1e-4, 2.0  # values converted with array arithmetic
+CHUNK = 2 ** 14  # values per pass, which holds about 150 bytes per value
 _POW5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)
 _HALF = np.uint64(32)
 _LOW_HALF = np.uint64(2 ** 32 - 1)
@@ -82,7 +83,10 @@ def _fixed(x: np.ndarray) -> str:
 def g17(values: np.ndarray) -> list[str]:
     """"%.17g" % v for every v of a 1-D float64 array."""
     fast = (values >= LOW) & (values <= HIGH)
-    texts = _fixed(np.where(fast, values, 1.0)).split("\n")[:-1]
+    inside = np.where(fast, values, 1.0)
+    texts = "".join(_fixed(inside[start:start + CHUNK])
+                    for start in range(0, len(inside), CHUNK)).split("\n")
+    del texts[-1]
     for i in np.flatnonzero(~fast).tolist():
         texts[i] = "%.17g" % values[i]
     return texts

@@ -178,6 +178,57 @@ def _edge_angle(n: int, c):
     return 2.0 / n * np.sqrt(c / (1.0 + 4.0 * c / np.pi ** 2))
 
 
+def _angles(n: int, lams: np.ndarray, theta: np.ndarray,
+            edges: np.ndarray) -> np.ndarray:
+    """theta, one row per lam and one root of F per column, refined in
+    place by safeguarded Newton steps within the brackets [edges[j],
+    edges[j + 1]].
+
+    Each root takes the same floating-point steps whatever else is in the
+    batch. Once at most half of the roots are still moving, the others
+    are set aside and the iteration carries only these.
+    """
+    # per root, at flat position live of theta: the angle, its bracket, lam
+    # and the sign of F at the bracket's left end, each its own array (one
+    # block of them all would raise malloc's mmap threshold, and peak RSS)
+    sign = np.where(np.arange(theta.shape[1]) % 2, -1.0, 1.0)
+    state = [np.broadcast_to(value, theta.shape).flatten()
+             for value in (theta, edges[:-1], edges[1:], lams[:, None], sign)]
+    out = theta.reshape(-1)
+    live = np.arange(out.size)
+    active = np.ones(out.size, dtype=bool)
+    slope = -0.5 * (n - 1)  # lam's factor in dF/dtheta
+    for _ in range(NEWTON_MAX_STEPS):
+        t, lo, hi, lam, lo_sign = state
+        su, cu = np.sin(0.5 * n * t), np.cos(0.5 * n * t)
+        sv, cv = np.sin(0.5 * t), np.cos(0.5 * t)
+        sucv = su * cv
+        near, far = lam * (cu * cv + su * sv), 2.0 * su * sv
+        f = near - far
+        # at rounding level F gives no further information
+        settled = np.abs(f) <= NEWTON_RTOL * (np.abs(near) + np.abs(far))
+        df = slope * lam * (sucv - cu * sv) - n * cu * sv - sucv
+        below = f * lo_sign > 0.0
+        np.copyto(lo, t, where=below)
+        np.copyto(hi, t, where=~below)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - f / df
+        np.copyto(step, 0.5 * (lo + hi), where=~((step >= lo) & (step <= hi)))
+        moved = np.abs(step - t) > NEWTON_RTOL * step
+        active &= ~settled
+        np.copyto(t, step, where=active)
+        active &= moved
+        left = np.count_nonzero(active)
+        if not left:
+            break
+        if 2 * left <= len(active):
+            out[live] = t
+            state = [row[active] for row in state]
+            live, active = live[active], active[active]
+    out[live] = state[0]
+    return theta
+
+
 def solve_lambda_many(n: int, lams) -> np.ndarray:
     """Transfer-equation roots for every lam at once; shape (len(lams), deg).
 
@@ -204,48 +255,7 @@ def solve_lambda_many(n: int, lams) -> np.ndarray:
     theta[:, 0] = _edge_angle(n, n * r)
     if n % 2:
         theta[:, -1] = np.pi - _edge_angle(n, n / r)
-    # One row per quantity and one column per root at flat position live
-    # of theta: the angle, its bracket, lam, the lam term of dF/dtheta and
-    # the sign of F at the bracket's left end. Once most roots have
-    # settled, the columns of the others are all that is kept.
-    state = np.empty((6,) + theta.shape)
-    state[0], state[1], state[2] = theta, edges[:-1], edges[1:]
-    state[3] = lams[:, None]
-    state[4] = -0.5 * (n - 1) * state[3]
-    state[5] = np.where(k % 2, 1.0, -1.0)
-    state = state.reshape(6, -1)
-    theta = theta.ravel()
-    live = np.arange(theta.size)
-    active = np.ones(theta.size, dtype=bool)
-    for _ in range(NEWTON_MAX_STEPS):
-        t, lo, hi, lam, slope, lo_sign = state
-        su, cu = np.sin(0.5 * n * t), np.cos(0.5 * n * t)
-        sv, cv = np.sin(0.5 * t), np.cos(0.5 * t)
-        sucv = su * cv
-        near, far = lam * (cu * cv + su * sv), 2.0 * su * sv
-        f = near - far
-        # at rounding level F gives no further information
-        settled = np.abs(f) <= NEWTON_RTOL * (np.abs(near) + np.abs(far))
-        df = slope * (sucv - cu * sv) - n * cu * sv - sucv
-        below = f * lo_sign > 0.0
-        np.copyto(lo, t, where=below)
-        np.copyto(hi, t, where=~below)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = t - f / df
-        np.copyto(step, 0.5 * (lo + hi), where=~((step >= lo) & (step <= hi)))
-        moved = np.abs(step - t) > NEWTON_RTOL * step
-        active &= ~settled
-        np.copyto(t, step, where=active)
-        active &= moved
-        left = np.count_nonzero(active)
-        if not left:
-            break
-        if 2 * left <= len(active):
-            theta[live] = t
-            state, live, active = state[:, active], live[active], active[active]
-    theta[live] = state[0]
-    theta = theta.reshape(lams.size, degree)
-
+    theta = _angles(n, lams, theta, edges)
     lam = lams[:, None]
 
     def value(x):
