@@ -75,8 +75,7 @@ def _fixed(x: np.ndarray) -> str:
     text[6:22] = (digits[1:] + 48) * kept
     text[1, (row == 4) & ~kept[0]] = 0  # "d." is written "d"
     text[22] = ord("\n")
-    text = text.T
-    chars = text.ravel()
+    chars = text.T.ravel()
     return chars[chars != 0].tobytes().decode("ascii")
 
 
