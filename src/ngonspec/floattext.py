@@ -15,12 +15,15 @@ from __future__ import annotations
 import numpy as np
 
 LOW, HIGH = 1e-4, 2.0  # values converted with array arithmetic
-CHUNK = 2 ** 14  # values per pass, which holds about 150 bytes per value
+# Values per pass, at about 150 bytes each; passes of 2**14 raised the
+# peak RSS of a run of spectrum ops.
+CHUNK = 2 ** 13
 _POW5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)
 _HALF = np.uint64(32)
 _LOW_HALF = np.uint64(2 ** 32 - 1)
 _ONE = np.uint64(1)
-_TENTH, _TENTH_SHIFT = np.uint64(0xCCCCCCCD), np.uint64(35)  # v // 10, v < 2**32
+# (v * _TENTH) >> _TENTH_SHIFT is v // 10 for every v < 2**32
+_TENTH, _TENTH_SHIFT = np.uint64(0xCCCCCCCD), np.uint64(35)
 # Text before the first digit's tail, by decimal exponent -4..0, with the
 # first digit's column; a zero byte is no character.
 _LEAD = np.frombuffer(b"0.000\0" b"0.00\0\0" b"0.0\0\0\0" b"0.\0\0\0\0"

@@ -246,11 +246,10 @@ def _reusing_solver(n: int):
         at = np.searchsorted(seen, distinct)
         known = at < len(seen)
         known[known] = seen[at[known]] == distinct[known]
-        table = np.empty((len(distinct), rows.shape[1]))
-        table[known] = rows[at[known]]
-        table[~known] = roots.solve_lambda_many(n, distinct[~known])
-        seen, rows = distinct, table
-        return table if len(table) == len(lams) else table[np.cumsum(first) - 1]
+        new = roots.solve_lambda_many(n, distinct[~known])
+        at[~known] = len(seen) + np.arange(len(new))  # rows after the old
+        seen, rows = distinct, np.concatenate((rows, new)).take(at, axis=0)
+        return rows if len(rows) == len(lams) else rows[np.cumsum(first) - 1]
     return solve
 
 
