@@ -15,10 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 LOW, HIGH = 1e-4, 2.0  # values converted with array arithmetic
-# Values per pass, at about 150 bytes each. Passes of 2**14 and 2**13
-# raised the peak RSS of a run of spectrum ops by 0.5 MB; with 2**12 it
-# fell by more than that.
-CHUNK = 2 ** 12
+CHUNK = 2 ** 12  # values per pass; a pass holds about 150 bytes per value
 _POW5 = np.array([5 ** k for k in range(22)], dtype=np.uint64)
 _HALF = np.uint64(32)
 _LOW_HALF = np.uint64(2 ** 32 - 1)
