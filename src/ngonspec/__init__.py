@@ -22,22 +22,23 @@ from .oracle import (ComparisonReport, DenseSymMatrix, compare_spectra,
 from .roots import (FamilyKind, RootFamily, RootIsolationError,
                     family_polynomial, lambda_polynomial, roots_of_family,
                     solve_lambda_equation, solve_lambda_many, vieta_sums)
-from .spectrum import (Spectrum, SpectrumEntry, base_spectrum,
-                       iterate_spectrum, lift_eigenvector, transform_spectrum)
+from .spectrum import (Spectrum, SpectrumEntry, UnderflowError,
+                       base_spectrum, iterate_spectrum, lift_eigenvector,
+                       transform_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapExceededError", "ComparisonReport", "DenseSymMatrix", "FamilyKind",
     "Graph", "GraphError", "GrowthCounts", "InvariantReport", "RootFamily",
-    "RootIsolationError", "Spectrum", "SpectrumEntry", "base_spectrum",
-    "coeffs_a", "compare_spectra", "degree_product", "degree_product_closed",
-    "eig_sym", "eval_a", "exact_invariants", "family_polynomial",
-    "invariants_from_spectrum", "iterate_spectrum", "iterate_transform",
-    "kemeny_closed", "kirchhoff_closed", "lambda_polynomial",
-    "laplacian_matvec", "lift_eigenvector", "linear_combination",
-    "make_graph", "matrix_tree_count", "normalized_laplacian",
-    "parse_edge_list", "polygon_transform", "roots_of_family",
-    "solve_lambda_equation", "solve_lambda_many", "spanning_trees_closed",
-    "transform_spectrum", "vieta_sums",
+    "RootIsolationError", "Spectrum", "SpectrumEntry", "UnderflowError",
+    "base_spectrum", "coeffs_a", "compare_spectra", "degree_product",
+    "degree_product_closed", "eig_sym", "eval_a", "exact_invariants",
+    "family_polynomial", "invariants_from_spectrum", "iterate_spectrum",
+    "iterate_transform", "kemeny_closed", "kirchhoff_closed",
+    "lambda_polynomial", "laplacian_matvec", "lift_eigenvector",
+    "linear_combination", "make_graph", "matrix_tree_count",
+    "normalized_laplacian", "parse_edge_list", "polygon_transform",
+    "roots_of_family", "solve_lambda_equation", "solve_lambda_many",
+    "spanning_trees_closed", "transform_spectrum", "vieta_sums",
 ]

@@ -186,8 +186,9 @@ def _cmd_transform(ns, graph: graphs.Graph):
 
 
 def _cmd_spectrum(ns, graph: graphs.Graph):
-    spec, counts = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
-                                             ns.n, ns.g)
+    spec, counts = spectrum.base_spectrum(graph)
+    for spec, counts in spectrum.iterate_spectrum(spec, counts, ns.n, ns.g):
+        pass  # keeps the last generation, the base at g = 0
     mults = spec.multiplicities.tolist()
     text = {mult: str(mult) for mult in set(mults)}
     table = Table(("value", "multiplicity", "source"), [
@@ -199,6 +200,7 @@ def _cmd_spectrum(ns, graph: graphs.Graph):
 def _cmd_invariants(ns, graph: graphs.Graph):
     n0, e0 = graph.vertex_count, len(graph.edges)
     base_spec, base_counts = spectrum.base_spectrum(graph)
+    generations = spectrum.iterate_spectrum(base_spec, base_counts, ns.n, ns.g)
     product0 = invariants.degree_product(graph)
     if ns.exact:
         kf0, k0, nst0 = invariants.exact_invariants(graph)
@@ -209,7 +211,6 @@ def _cmd_invariants(ns, graph: graphs.Graph):
         kf0, k0 = base.kirchhoff_multiplicative, base.kemeny
     kf_t, k_t, nst_t = kf0, k0, nst0
     rows = [(0, _FROM_SPECTRUM, kf0, k0, str(nst0))]
-    spec_t, counts_t = base_spec, base_counts
     for t in range(1, ns.g + 1):
         kf_t = invariants.kirchhoff_closed(kf0, n0, e0, ns.n, t)
         k_t = invariants.kemeny_closed(k0, n0, e0, ns.n, t)
@@ -218,9 +219,8 @@ def _cmd_invariants(ns, graph: graphs.Graph):
         # vertex counts grow with t, so once past the cap they stay past it
         if base_counts.grown(ns.n, t).vertices > ns.explicit_cap:
             continue
-        spec_t, counts_t = spectrum.transform_spectrum(spec_t, counts_t, ns.n)
         report = invariants.invariants_from_spectrum(
-            spec_t, counts_t,
+            *next(generations),
             invariants.degree_product_closed(product0, base_counts, ns.n, t))
         rows.append((t, _FROM_SPECTRUM, report.kirchhoff_multiplicative,
                      report.kemeny, None if report.spanning_trees is None
@@ -240,9 +240,10 @@ def _cmd_verify(ns, graph: graphs.Graph):
     if order > oracle.DENSE_ORDER_CAP:  # refused before anything is built
         raise graphs.CapExceededError(order, oracle.DENSE_ORDER_CAP,
                                       "dense eigensolve")
-    explicit = graphs.iterate_transform(graph, ns.n, ns.g, ns.explicit_cap)
-    spec, counts = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
-                                             ns.n, ns.g)
+    explicit = graphs.iterate_transform(graph, ns.n, ns.g)
+    spec, counts = spectrum.base_spectrum(graph)
+    for spec, counts in spectrum.iterate_spectrum(spec, counts, ns.n, ns.g):
+        pass
     numeric = oracle.eig_sym(oracle.normalized_laplacian(explicit))
     report = oracle.compare_spectra(spec.expanded(), numeric, ns.tolerance)
     checks = {"matched": report.matched,
@@ -309,7 +310,7 @@ _COMMANDS = {
                    ("--output-format", "--explicit-cap", "--exact")),
     "verify": (_cmd_verify,
                "compare the spectrum pipeline against the oracle",
-               ("--tolerance", "--output-format", "--explicit-cap")),
+               ("--tolerance", "--output-format")),
     "lift": (_cmd_lift, "lift a base eigenvector one growth step",
              ("--tolerance", "--output-format", "--explicit-cap",
               "--eigenpair")),
@@ -375,10 +376,11 @@ def main(argv=None) -> int:
     try:
         graph = graphs.parse_edge_list(Path(ns.input).read_text())
         code, document, table = _COMMANDS[ns.command][0](ns, graph)
-    except (graphs.CapExceededError, graphs.GraphError, ValueError, KeyError,
-            OSError) as exc:
+    except (graphs.CapExceededError, spectrum.UnderflowError, ValueError,
+            KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, graphs.CapExceededError) else 1
+        return 2 if isinstance(exc, (graphs.CapExceededError,
+                                     spectrum.UnderflowError)) else 1
     if document is not None:
         _write(ns.output_format, document, table)
     return code

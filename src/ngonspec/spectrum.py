@@ -11,7 +11,7 @@ Eigenvectors can be lifted one transform step along the same bookkeeping.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,17 @@ from .graphs import Graph, GrowthCounts
 CLUSTER_TOL = 1e-7   # numeric eigenvalues closer than this merge
 SNAP_TOL = 1e-9      # distance at which a value snaps to exactly 0 or 2
 EDGE_TOL = 1e-12     # slack of the [0, 2] range
+_TINY = float(np.finfo(float).tiny)  # below it a float64 loses digits
+
+
+class UnderflowError(ArithmeticError):
+    """Raised when a generation would hold an eigenvalue below float64's
+    normal range, whose printed digits would be wrong."""
+
+    def __init__(self, generation: int):
+        super().__init__(f"generation {generation} has an eigenvalue below "
+                         f"float64's normal range ({_TINY!r})")
+
 
 SOURCE_ZERO = "zero"
 SOURCE_TWO = "two"
@@ -254,18 +265,22 @@ def _reusing_solver(n: int):
 
 
 def iterate_spectrum(spec: Spectrum, counts: GrowthCounts, n: int,
-                     g: int) -> tuple[Spectrum, GrowthCounts]:
-    """g-fold spectrum transfer; g = 0 returns the input unchanged.
+                     g: int) -> Iterator[tuple[Spectrum, GrowthCounts]]:
+    """Generations 1..g of the spectrum transfer, each as it is made.
 
     Parents repeated from one generation to the next are solved once; the
-    rows are kept for one generation of this call only.
+    rows are kept for one generation only.
     """
     if g < 0:
         raise ValueError(f"generation must be nonnegative, got {g}")
     solve = _reusing_solver(n)
-    for _ in range(g):
+    for t in range(1, g + 1):
         spec, counts = transform_spectrum(spec, counts, n, solve)
-    return spec, counts
+        # Rows ascend and the zero row is 0.0, so another row lies below
+        # _TINY exactly when the second row does.
+        if spec.values[1] < _TINY:
+            raise UnderflowError(t)
+        yield spec, counts
 
 
 def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu,

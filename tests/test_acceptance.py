@@ -57,7 +57,8 @@ def transfer_runs(corpus):
                 gens.append(2)
             for g in gens:
                 built = graphs.iterate_transform(base, n, g, 10**6)
-                theory, out_ctx = spectrum.iterate_spectrum(spec, ctx, n, g)
+                *_, (theory, out_ctx) = spectrum.iterate_spectrum(
+                    spec, ctx, n, g)
                 numeric = oracle.eig_sym(oracle.normalized_laplacian(built))
                 comparison = oracle.compare_spectra(theory.expanded(),
                                                     numeric, SPECTRUM_TOL)
@@ -281,7 +282,7 @@ def test_criterion_9_scale_and_performance():
     spec = spectrum.Spectrum.from_entries(entries)
     ctx = graphs.GrowthCounts(1000, 1500, False)
     start = time.perf_counter()
-    out, out_ctx = spectrum.iterate_spectrum(spec, ctx, 9, 1)
+    *_, (out, out_ctx) = spectrum.iterate_spectrum(spec, ctx, 9, 1)
     transfer_seconds = time.perf_counter() - start
     assert out.total_multiplicity == out_ctx.vertices == 1000 + 8 * 1500
 

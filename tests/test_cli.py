@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngonspec import cli, graphs, oracle
+from ngonspec import cli, graphs, oracle, roots
 
 from conftest import (random_connected_graph, reference_csv_text,
                       reference_json_text)
@@ -289,6 +290,7 @@ UNREAD_FLAGS = [
     (["spectrum", "--tolerance", "1e-9"], "unrecognized arguments"),
     (["spectrum", "--explicit-cap", "10"], "unrecognized arguments"),
     (["invariants", "--tolerance", "1e-9"], "unrecognized arguments"),
+    (["verify", "--explicit-cap", "10"], "unrecognized arguments"),
     (["lift", "--g", "0"], "--g"),
     (["lift", "--g", "2"], "--g")]
 
@@ -358,9 +360,6 @@ def test_cap_exit_code(tmp_path, capsys):
     path = write(tmp_path, "k3.txt", TRIANGLE)
     code, _ = run_cli(capsys, ["transform", path, "--n", "5", "--g", "8"])
     assert code == 2
-    code, _ = run_cli(capsys, ["verify", path, "--n", "2", "--g", "2",
-                               "--explicit-cap", "10"])
-    assert code == 2
 
 
 def test_tree_count_cap_names_the_tree_count(tmp_path, capsys):
@@ -374,6 +373,33 @@ def test_tree_count_cap_names_the_tree_count(tmp_path, capsys):
 
 
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+C5 = "0 1\n1 2\n2 3\n3 4\n0 4\n"
+TINY = "2.2250738585072014e-308"  # float64's smallest normal value
+
+
+@pytest.mark.parametrize("text, g, refused_at", [
+    (C5, 1021, None), (C5, 1022, 1022), (TRIANGLE, 1100, 1023)],
+    ids=["C5-g1021", "C5-g1022", "triangle-g1100"])
+def test_eigenvalues_below_the_normal_range_exit_two(tmp_path, capsys, text,
+                                                      g, refused_at):
+    # At n = 2 the smallest row halves every generation: C5's is
+    # 3.0749764449780788e-308 at g = 1021 and subnormal at g = 1022. Past
+    # that a parent underflows to 0, which the transfer solve would
+    # reject as invalid input.
+    path = write(tmp_path, "base.txt", text)
+    code = cli.main(["spectrum", path, "--n", "2", "--g", str(g)])
+    out, err = capsys.readouterr()
+    if refused_at is None:
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "5a48fa69b76f623e14a5625682aeb3ae335b16007107a55b8958cf770931dbd7"
+        assert json.loads(out)["spectrum"][1]["value"] \
+            == 3.0749764449780788e-308
+        return
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: generation {refused_at} has an eigenvalue below float64's "
+        f"normal range ({TINY})\n")
 
 
 @pytest.mark.parametrize("text, g", [(TRIANGLE, 42), (K4, 40), (K4, 42)])
@@ -554,3 +580,33 @@ def test_write_streams_what_json_text_returns(tmp_path):
         text = cli._json_text(document) + "\n"
         assert_same_text(written("json", document, table), text)
         assert_same_text(text, reference_json_text(document) + "\n")
+
+
+# stdout digests of `invariants` on the triangle at n = 3, g = 9 with every
+# generation's from-spectrum row, recorded when the subcommand still
+# solved every parent anew.
+DEEP_INVARIANTS = {
+    "json": "09561d43c16d1b4683b357bd71b98ff9cbdcc9585bd6a8953b4f739eb6c1fb8b",
+    "csv": "3964e819cdbc76c5b2bf0da0af33c991701f0ebb76d41486b2fff27cea90285b"}
+
+
+@pytest.mark.parametrize("fmt", sorted(DEEP_INVARIANTS))
+def test_invariants_solve_each_new_parent_once(tmp_path, capsys,
+                                               monkeypatch, fmt):
+    solve = roots.solve_lambda_many
+    calls = []
+    monkeypatch.setattr(roots, "solve_lambda_many", lambda n, lams: (
+        calls.append(np.asarray(lams)) or solve(n, lams)))
+    path = write(tmp_path, "k3.txt", TRIANGLE)
+    code, out = run_cli(capsys, [
+        "invariants", path, "--n", "3", "--g", "9", "--explicit-cap",
+        "1000000000", "--output-format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_INVARIANTS[fmt]
+    # one call per generation, each with distinct values the call before
+    # did not have: 893 rows, where solving every parent took 1,762
+    assert len(calls) == 9
+    for before, lams in zip([np.empty(0)] + calls, calls):
+        assert len(np.unique(lams)) == len(lams)
+        assert not np.isin(lams, before).any()
+    assert sum(map(len, calls)) == 893

@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,7 +80,7 @@ def test_trace_equals_vertex_count(corpus):
 
 def test_bipartite_symmetry_survives_odd_growth():
     spec, ctx = spectrum.base_spectrum(cycle_graph(4))
-    out, out_ctx = spectrum.iterate_spectrum(spec, ctx, 3, 2)
+    *_, (out, out_ctx) = spectrum.iterate_spectrum(spec, ctx, 3, 2)
     assert out_ctx.bipartite
     pairs = merged(out, 1e-9)
     mirrored = sorted((2.0 - v, m) for v, m in pairs)
@@ -108,17 +110,24 @@ def test_even_growth_removes_top_eigenvalue():
     assert max(e.value for e in out.entries) < 2.0 - 1e-6
 
 
-def test_iterate_zero_steps_returns_input():
+def test_iterate_yields_each_generation_in_turn():
     spec, ctx = spectrum.base_spectrum(cycle_graph(5))
-    assert spectrum.iterate_spectrum(spec, ctx, 4, 0) == (spec, ctx)
+    assert list(spectrum.iterate_spectrum(spec, ctx, 4, 0)) == []
     with pytest.raises(ValueError):
-        spectrum.iterate_spectrum(spec, ctx, 4, -1)
+        next(spectrum.iterate_spectrum(spec, ctx, 4, -1))
+    want = [(spec, ctx)]
+    for g, (got, got_ctx) in enumerate(
+            spectrum.iterate_spectrum(spec, ctx, 4, 3), 1):
+        want.append(spectrum.transform_spectrum(*want[-1], 4))
+        assert got_ctx == want[-1][1] == ctx.grown(4, g)
+        assert got.values.tobytes() == want[-1][0].values.tobytes()
+    assert g == 3
 
 
 def test_iterated_transfer_matches_oracle():
     base = path_graph(4)
     spec, ctx = spectrum.base_spectrum(base)
-    out, _ = spectrum.iterate_spectrum(spec, ctx, 4, 2)
+    *_, (out, _) = spectrum.iterate_spectrum(spec, ctx, 4, 2)
     built = graphs.iterate_transform(base, 4, 2, 10**5)
     want = oracle.eig_sym(oracle.normalized_laplacian(built))
     report = oracle.compare_spectra(out.expanded(), want, 1e-8)
@@ -286,8 +295,8 @@ def test_lift_matches_per_edge_reference_at_high_n():
 
 def test_source_labels_match_the_entries(corpus):
     for graph in corpus.values():
-        spec, _ = spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
-                                            3, 2)
+        *_, (spec, _) = spectrum.iterate_spectrum(
+            *spectrum.base_spectrum(graph), 3, 2)
         assert spec.source_labels() == [
             f"lifted({e.origin:.17g})" if e.source == "lifted" else e.source
             for e in spec.entries]
@@ -296,8 +305,8 @@ def test_source_labels_match_the_entries(corpus):
 def test_cached_family_roots_leave_the_transfer_unchanged(monkeypatch,
                                                           corpus):
     def grown():
-        return [spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
-                                          n, 3)[0]
+        return [[*spectrum.iterate_spectrum(*spectrum.base_spectrum(graph),
+                                            n, 3)][-1][0]
                 for graph in (corpus["Petersen"], corpus["C4"])
                 for n in (3, 4)]
 
@@ -345,7 +354,7 @@ def test_reused_rows_equal_a_fresh_solve(monkeypatch, corpus):
                 lambda: chained(base, n, 2000))
             fresh += rows
             (got, got_counts), rows = counted(
-                lambda: spectrum.iterate_spectrum(*base, n, g))
+                lambda: [*spectrum.iterate_spectrum(*base, n, g)][-1])
             reused += rows
             assert got_counts == want_counts
             for column in ("values", "sources", "origins"):
@@ -371,3 +380,22 @@ def test_reusing_solver_solves_each_new_value_once(monkeypatch):
         assert reusing(lams).tobytes() == solve(5, lams).tobytes()
     assert [lams.tolist() for lams in calls] \
         == [[0.25, 0.5, 1.5], [0.75, 1.75], []]
+
+
+def test_only_the_generation_loop_chains_the_transfer():
+    # Every generation is grown by iterate_spectrum, so parents repeated
+    # from one generation to the next are solved once.
+    def calls(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and ast.unparse(call.func).split(".")[-1]
+                == "transform_spectrum"]
+
+    package = Path(spectrum.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in package.glob("*.py")}
+    assert {name: len(calls(tree)) for name, tree in trees.items()
+            if calls(tree)} == {"spectrum.py": 1}
+    loop, = [node for node in ast.walk(trees["spectrum.py"])
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "iterate_spectrum"]
+    assert len(calls(loop)) == 1
