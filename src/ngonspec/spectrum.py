@@ -29,10 +29,6 @@ class UnderflowError(ArithmeticError):
     """Raised when a generation would hold an eigenvalue below float64's
     normal range, whose printed digits would be wrong."""
 
-    def __init__(self, generation: int):
-        super().__init__(f"generation {generation} has an eigenvalue below "
-                         f"float64's normal range ({_TINY!r})")
-
 
 SOURCE_ZERO = "zero"
 SOURCE_TWO = "two"
@@ -279,7 +275,8 @@ def iterate_spectrum(spec: Spectrum, counts: GrowthCounts, n: int,
         # Rows ascend and the zero row is 0.0, so another row lies below
         # _TINY exactly when the second row does.
         if spec.values[1] < _TINY:
-            raise UnderflowError(t)
+            raise UnderflowError(f"generation {t} has an eigenvalue below "
+                                 f"float64's normal range ({_TINY!r})")
         yield spec, counts
 
 
