@@ -7,11 +7,14 @@ oracle), lift (lift a base eigenvector one growth step).
 
 Every subcommand but transform returns (exit code, JSON document, row
 table), and one writer prints the document as JSON or the table as CSV.
+It makes the rows of a table or list _BLOCK at a time as one uint8 text
+matrix, the fixed text of a row beside each column's zero-padded cells,
+and prints each block without its zero bytes as soon as it is made.
 
-Exit codes: 0 success, 1 parse or validation failure, 2 size cap
-exceeded, 3 verification mismatch. Output is deterministic: fixed key
-order and 17-significant-digit floats, so identical runs produce
-identical bytes.
+Exit codes: 0 success, 1 parse or validation failure or a closed stdout,
+2 size cap exceeded, 3 verification mismatch. Output is deterministic:
+fixed key order and 17-significant-digit floats, so identical runs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
+from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -41,99 +46,133 @@ class Table(NamedTuple):
     columns: list
 
 
+class PlainText(Sequence):
+    """Cells that need no JSON escape or CSV quote, made as they are read:
+    rows(start, stop) is cells start..stop as zero-padded uint8 rows."""
+
+    def __init__(self, size: int, rows):
+        self.size, self.rows = size, rows
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> str:
+        i = range(self.size)[i]
+        return self.rows(i, i + 1).tobytes().replace(b"\0", b"").decode()
+
+
 _NESTED = (dict, list, tuple)  # a Table is a tuple
-_BLOCK = 2048  # rows formatted by one `template % cells`
+_BLOCK = 4000  # rows made as one text matrix
+_JOINED = 2 ** 16  # characters of short parts printed together
+_SHORT = 128  # fewer cells are faster formatted one by one than as arrays
 _CSV_QUOTED = ',"\n'  # csv.writer quotes a field holding one ("\n" ends)
 
 
-def _json_scalar(value) -> str:
+def _cell(value, json: bool) -> str:
+    """One cell's text: a JSON value (a non-finite float is null), or a CSV
+    field quoted as csv.writer quotes it."""
     if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+        return "null" if json else ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
-        return "%.17g" % value if math.isfinite(value) else "null"
-    if isinstance(value, int):
-        return str(value)
-    return _ENCODE(str(value))
-
-
-def _csv_cell(value) -> str:
-    """One CSV field, quoted as csv.writer quotes it."""
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    text = "%.17g" % value if isinstance(value, float) else str(value)
+        return "%.17g" % value if math.isfinite(value) or not json else "null"
+    text = str(value)
+    if json:
+        return text if isinstance(value, int) else _ENCODE(text)
     if any(char in text for char in _CSV_QUOTED):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _column(cells, json: bool, kinds: set | None = None) -> tuple[str, list]:
-    """(% conversion, values) of a column whose cells have the types in
-    kinds: uniform float, int and plain str columns convert their cells,
-    any other column its cells' text. A float64 array is a float column
-    by its dtype alone, and its text comes from floattext."""
+def _text_rows(texts: list) -> np.ndarray:
+    """The UTF-8 text of each cell as a zero-padded uint8 matrix; a zero
+    byte in the text is written 0xff, which UTF-8 never uses."""
+    rows = np.array([text.encode("utf-8", "surrogatepass").replace(
+        b"\0", b"\xff") for text in texts], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(texts), rows.itemsize)
+
+
+def _int_rows(ints) -> np.ndarray:
+    """The decimal text of each int as a zero-padded uint8 matrix: from
+    floattext.decimal, or from str past int64."""
+    try:
+        return floattext.decimal(np.asarray(ints, dtype=np.int64))
+    except OverflowError:
+        return _text_rows(list(map(str, ints)))
+
+
+def _column(cells, json: bool, kinds: set | None = None,
+            lone: bool = False):
+    """(quote, rows) of a column whose cells have the types in kinds:
+    rows(start, stop) is the text of cells start..stop as a zero-padded
+    uint8 matrix, and quote goes on both sides of every cell. Floats take
+    their text from floattext (a float64 array by its dtype alone) and
+    ints from _int_rows; other columns, and any of fewer than _SHORT
+    cells, are formatted cell by cell. lone marks a CSV table's one
+    column, where csv.writer quotes an empty field."""
+    if isinstance(cells, PlainText):
+        return '"' if json else "", cells.rows
     if isinstance(cells, np.ndarray):
-        if cells.dtype == np.float64 and (not json
-                                          or np.isfinite(cells).all()):
-            return "%s", floattext.g17(cells)
+        if (cells.dtype == np.float64 and len(cells) >= _SHORT
+                and (not json or np.isfinite(cells).all())):
+            return "", lambda a, b: floattext.g17(cells[a:b])
         cells = cells.tolist()
     if kinds is None:
         kinds = set(map(type, cells))
-    if kinds == {float} and (not json or all(map(math.isfinite, cells))):
-        return "%.17g", cells
-    if kinds == {int}:
-        return "%d", cells
-    if kinds == {str}:
-        text = "".join(cells)
-        if json and _ENCODE(text) == f'"{text}"':
-            return '"%s"', cells
-        if not json and not any(char in text for char in _CSV_QUOTED):
-            return "%s", cells
-    return "%s", list(map(_json_scalar if json else _csv_cell, cells))
+    if len(cells) >= _SHORT:
+        if kinds == {float} and (not json or all(map(math.isfinite, cells))):
+            return _column(np.array(cells), json)
+        if kinds == {int}:
+            return "", lambda a, b: _int_rows(cells[a:b])
+    texts = [_cell(cell, json) or ('""' if lone else "") for cell in cells]
+    return "", lambda a, b: _text_rows(texts[a:b])
 
 
-def _blocks(row: str, sep: str, columns):
-    """The row template filled from the columns, rows joined by sep, as
-    one string per block of _BLOCK rows."""
-    for start in range(0, len(columns[0]), _BLOCK):
-        block = [column[start:start + _BLOCK] for column in columns]
-        yield (sep if start else "") + sep.join([row] * len(block[0])) \
-            % tuple(chain.from_iterable(zip(*block)))
+def _blocks(row: str, sep: str, count: int, columns):
+    """count rows, each row with the columns' cells in place of its zero
+    characters, joined by sep, as one string per block of _BLOCK rows:
+    the rows' text as one uint8 matrix, without its zero bytes."""
+    size = min(count, _BLOCK)
+    pieces = [np.frombuffer(piece * size, dtype=np.uint8).reshape(
+        size, len(piece)) for piece in (row + sep).encode().split(b"\0")]
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        block = [pieces[0][:stop - start]]
+        for rows, piece in zip(columns, pieces[1:]):
+            block += [rows(start, stop), piece[:stop - start]]
+        text = np.concatenate(block, axis=1).tobytes().translate(
+            None, b"\0").replace(b"\xff", b"\0").decode(
+            "utf-8", "surrogatepass")
+        yield text[:len(text) - len(sep)] if stop == count else text
 
 
 def _table_parts(table: Table, json: bool, pad: str = ""):
     """A table's rows in blocks: JSON objects joined by ",\n", or CSV
     lines without the header."""
-    formats, columns = zip(*(_column(column, json)
-                             for column in table.columns))
+    lone = not json and len(table.columns) == 1
+    quotes, columns = zip(*(_column(column, json, lone=lone)
+                            for column in table.columns))
     if json:
         return _blocks(pad + "{" + ", ".join(
-            _ENCODE(key).replace("%", "%%") + ": " + conversion
-            for key, conversion in zip(table.header, formats)) + "}",
-            ",\n", columns)
-    if formats == ("%s",):  # csv.writer quotes a lone empty field
-        columns = ([text or '""' for text in columns[0]],)
-    return _blocks(",".join(formats) + "\n", "", columns)
+            _ENCODE(key) + ": " + quote + "\0" + quote
+            for key, quote in zip(table.header, quotes)) + "}",
+            ",\n", len(table.columns[0]), columns)
+    return _blocks(",".join("\0" * len(columns)) + "\n", "",
+                   len(table.columns[0]), columns)
 
 
 def _json_parts(value, indent: int = 0):
     """Deterministic JSON with .17g floats, in parts; non-finite floats
     become null. A dict of scalars and each row of a Table take one line."""
     if not isinstance(value, _NESTED):
-        yield _json_scalar(value)
+        yield _cell(value, True)
         return
     pad = "  " * (indent + 1)
     close = "\n" + "  " * indent
     if isinstance(value, dict):
         if not any(isinstance(v, _NESTED) for v in value.values()):
-            yield "{" + ", ".join(f"{_ENCODE(k)}: {_json_scalar(v)}"
+            yield "{" + ", ".join(f"{_ENCODE(k)}: {_cell(v, True)}"
                                   for k, v in value.items()) + "}"
             return
         yield "{\n"
@@ -154,8 +193,9 @@ def _json_parts(value, indent: int = 0):
             yield (",\n" if i else "") + pad
             yield from _json_parts(v, indent + 1)
     else:
-        conversion, cells = _column(value, True, kinds)
-        yield from _blocks(pad + conversion, ",\n", [cells])
+        quote, rows = _column(value, True, kinds)
+        yield from _blocks(pad + quote + "\0" + quote, ",\n", len(value),
+                           [rows])
     yield close + "]"
 
 
@@ -164,14 +204,20 @@ def _json_text(value) -> str:
 
 
 def _write(output_format: str, document, table: Table | None) -> None:
-    """Print a result in parts: the document as JSON or the table as CSV."""
+    """Print a result in parts: the document as JSON or the table as CSV.
+    Short parts are printed together, up to _JOINED characters."""
     if output_format == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerow(table.header)
         parts = _table_parts(table, False)
     else:
         parts = chain(_json_parts(document), ("\n",))
+    pending = ""
     for part in parts:
-        print(part, end="")
+        if pending and len(pending) + len(part) > _JOINED:
+            print(pending, end="")
+            pending = ""
+        pending += part
+    print(pending, end="")
 
 
 def _meta(n: int, g: int, counts: graphs.GrowthCounts) -> dict:
@@ -189,11 +235,10 @@ def _cmd_spectrum(ns, graph: graphs.Graph):
     spec, counts = spectrum.base_spectrum(graph)
     for spec, counts in spectrum.iterate_spectrum(spec, counts, ns.n, ns.g):
         pass  # keeps the last generation, the base at g = 0
-    mults = spec.multiplicities.tolist()
-    text = {mult: str(mult) for mult in set(mults)}
+    mults, (labels, codes) = spec.multiplicities, spec.source_labels()
     table = Table(("value", "multiplicity", "source"), [
-        spec.values, list(map(text.__getitem__, mults)),
-        spec.source_labels()])
+        spec.values, PlainText(len(mults), lambda a, b: _int_rows(mults[a:b])),
+        PlainText(len(codes), lambda a, b: labels[codes[a:b]])])
     return 0, {"meta": _meta(ns.n, ns.g, counts), "spectrum": table}, table
 
 
@@ -387,4 +432,12 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader left: send what stdout still holds to devnull, as
+        # Python's signal docs do, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)

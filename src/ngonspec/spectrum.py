@@ -44,6 +44,8 @@ SOURCES = tuple(sorted((SOURCE_ZERO, SOURCE_TWO, SOURCE_FAMILY_ZERO,
                         SOURCE_FAMILY_PLUS, SOURCE_FAMILY_MINUS,
                         SOURCE_LIFTED, SOURCE_BASE)))
 _CODE = {tag: code for code, tag in enumerate(SOURCES)}
+_NAMES = np.array(SOURCES, dtype=bytes).view(np.uint8).reshape(
+    len(SOURCES), -1)  # the tags as zero-padded text rows
 _LIFTED = _CODE[SOURCE_LIFTED]
 ZERO_CODE = _CODE[SOURCE_ZERO]  # 0 and 2 are their tags, not their sizes
 TWO_CODE = _CODE[SOURCE_TWO]
@@ -109,15 +111,22 @@ class Spectrum:
     def total_multiplicity(self) -> int:
         return sum(self.multiplicities.tolist())
 
-    def source_labels(self) -> list[str]:
-        """Export tag per row; each distinct lifted origin formatted once."""
+    def source_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, codes): the export tags as zero-padded uint8 text rows,
+        the SOURCES names and then lifted(<origin>) once per distinct
+        lifted origin, and each row's index into them."""
         lifted = self.sources == _LIFTED
         origins, slot = np.unique(self.origins[lifted], return_inverse=True)
-        text = "lifted(%s)\n" * len(origins) % tuple(floattext.g17(origins))
-        labels = np.array([*SOURCES, *text.split("\n")[:-1]], dtype=object)
+        text = floattext.g17(origins)
+        labels = np.zeros((len(_NAMES) + len(origins), text.shape[1] + 8),
+                          dtype=np.uint8)
+        labels[:len(_NAMES), :_NAMES.shape[1]] = _NAMES
+        labels[len(_NAMES):, :7] = np.frombuffer(b"lifted(", dtype=np.uint8)
+        labels[len(_NAMES):, 7:-1] = text
+        labels[len(_NAMES):, -1] = ord(")")
         codes = self.sources.astype(np.intp)
-        codes[lifted] = len(SOURCES) + slot
-        return labels[codes].tolist()
+        codes[lifted] = len(_NAMES) + slot
+        return labels, codes
 
     def expanded(self) -> np.ndarray:
         """Every eigenvalue repeated by multiplicity (explicit sizes only)."""

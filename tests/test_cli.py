@@ -582,6 +582,57 @@ def test_write_streams_what_json_text_returns(tmp_path):
         assert_same_text(text, reference_json_text(document) + "\n")
 
 
+class CountingStdout(io.StringIO):
+    """stdout that keeps the length of every write with text in it (print
+    writes its empty end="" too)."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        if text:
+            self.writes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_spectrum_streams_a_block_per_write(tmp_path, output_format):
+    # A large result never exists as one string: each block of rows is
+    # printed as it is made, the short parts around them joined.
+    path = write(tmp_path, "k4.txt", K4)
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["spectrum", path, "--n", "3", "--g", "11",
+                         "--output-format", output_format]) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    rows = (lines[1:] if output_format == "csv"
+            else [line for line in lines if line.startswith('    {"value"')])
+    assert len(rows) == 8190
+    assert len(out.writes) <= math.ceil(len(rows) / cli._BLOCK) + 3
+    assert max(out.writes) <= max(sum(map(len, rows[start:start + cli._BLOCK]))
+                                  for start in range(0, len(rows), cli._BLOCK))
+
+
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
+    # The reader takes one line and closes the pipe; the rest, about
+    # 700 kB, cannot fit in the pipe, so a later write meets the closed end.
+    path = write(tmp_path, "k4.txt", K4)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ngonspec", "spectrum", path, "--n", "3",
+         "--g", "11"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Error" not in err
+
+
 # stdout digests of `invariants` on the triangle at n = 3, g = 9 with every
 # generation's from-spectrum row, recorded when the subcommand still
 # solved every parent anew.

@@ -39,12 +39,20 @@ def test_base_spectrum_square_and_star():
                                   (2.0, 1, "two")]
 
 
+def source_labels(spec):
+    """Each row's export tag as str, from the label rows and row codes of
+    Spectrum.source_labels."""
+    labels, codes = spec.source_labels()
+    return [row.tobytes().replace(b"\0", b"").decode()
+            for row in labels[codes]]
+
+
 def test_transform_triangle_worked_example():
     spec, ctx = spectrum.base_spectrum(complete_graph(3))
     out, out_ctx = spectrum.transform_spectrum(spec, ctx, 2)
     assert entry_tuples(out) == [(0.0, 1, "zero"), (0.75, 2, "lifted"),
                                  (1.5, 3, "family-plus")]
-    assert out.source_labels()[1] == "lifted(1.5)"
+    assert source_labels(out)[1] == "lifted(1.5)"
     assert merged(out) == [(0.0, 1), (0.75, 2), (1.5, 3)]
     assert out_ctx == graphs.GrowthCounts(6, 9, False)
 
@@ -297,9 +305,14 @@ def test_source_labels_match_the_entries(corpus):
     for graph in corpus.values():
         *_, (spec, _) = spectrum.iterate_spectrum(
             *spectrum.base_spectrum(graph), 3, 2)
-        assert spec.source_labels() == [
+        assert source_labels(spec) == [
             f"lifted({e.origin:.17g})" if e.source == "lifted" else e.source
             for e in spec.entries]
+        # one label row per tag and per distinct lifted origin
+        labels, codes = spec.source_labels()
+        origins = {e.origin for e in spec.entries if e.source == "lifted"}
+        assert labels.dtype == np.uint8 and len(codes) == len(spec.entries)
+        assert len(labels) == len(spectrum.SOURCES) + len(origins)
 
 
 def test_cached_family_roots_leave_the_transfer_unchanged(monkeypatch,
