@@ -627,9 +627,10 @@ def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
         env=env)
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
+    code = proc.wait(timeout=60)  # stderr is short: the pipe cannot fill
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert code == 1
     assert "Traceback" not in err and "Error" not in err
 
 
