@@ -8,7 +8,6 @@ degree-Kirchhoff index, Kemeny's constant, spanning-tree count), and
 cross-checks everything against a brute-force oracle.
 """
 
-from .aseries import coeffs_a, eval_a, linear_combination
 from .graphs import (CapExceededError, Graph, GraphError, GrowthCounts,
                      iterate_transform, make_graph, parse_edge_list,
                      polygon_transform)
@@ -20,8 +19,7 @@ from .oracle import (ComparisonReport, DenseSymMatrix, compare_spectra,
                      eig_sym, laplacian_matvec, matrix_tree_count,
                      normalized_laplacian)
 from .roots import (FamilyKind, RootFamily, RootIsolationError,
-                    family_polynomial, lambda_polynomial, roots_of_family,
-                    solve_lambda_equation, solve_lambda_many, vieta_sums)
+                    roots_of_family, solve_lambda_equation, solve_lambda_many)
 from .spectrum import (Spectrum, SpectrumEntry, UnderflowError,
                        base_spectrum, iterate_spectrum, lift_eigenvector,
                        transform_spectrum)
@@ -32,13 +30,12 @@ __all__ = [
     "CapExceededError", "ComparisonReport", "DenseSymMatrix", "FamilyKind",
     "Graph", "GraphError", "GrowthCounts", "InvariantReport", "RootFamily",
     "RootIsolationError", "Spectrum", "SpectrumEntry", "UnderflowError",
-    "base_spectrum", "coeffs_a", "compare_spectra", "degree_product",
-    "degree_product_closed", "eig_sym", "eval_a", "exact_invariants",
-    "family_polynomial", "invariants_from_spectrum", "iterate_spectrum",
-    "iterate_transform", "kemeny_closed", "kirchhoff_closed",
-    "lambda_polynomial", "laplacian_matvec", "lift_eigenvector",
-    "linear_combination", "make_graph", "matrix_tree_count",
+    "base_spectrum", "compare_spectra", "degree_product",
+    "degree_product_closed", "eig_sym", "exact_invariants",
+    "invariants_from_spectrum", "iterate_spectrum", "iterate_transform",
+    "kemeny_closed", "kirchhoff_closed", "laplacian_matvec",
+    "lift_eigenvector", "make_graph", "matrix_tree_count",
     "normalized_laplacian", "parse_edge_list", "polygon_transform",
     "roots_of_family", "solve_lambda_equation", "solve_lambda_many",
-    "spanning_trees_closed", "transform_spectrum", "vieta_sums",
+    "spanning_trees_closed", "transform_spectrum",
 ]

@@ -4,8 +4,8 @@ Starts from a_{-1} = 0 and a_0 = 1; a_n is a degree-n polynomial (a
 second-kind Chebyshev polynomial in 1-x). Evaluation keeps the numeric
 kind of its argument, so Fractions stay exact and floats stay floats, and
 the polynomials themselves are available with exact integer coefficients.
-Exact rational linear combinations of several indices cover every fixed
-family and transfer polynomial built downstream.
+Exact linear combinations give the identity suites' family and transfer
+polynomials; only the suites and perfbench's tracer import this module.
 """
 
 from __future__ import annotations

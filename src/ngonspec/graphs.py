@@ -20,11 +20,11 @@ class GraphError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """Raised when work on an explicit graph would exceed a size cap."""
+    """Raised when work would exceed a size cap, in vertices or in rows."""
 
     def __init__(self, predicted: int, cap: int,
-                 subject: str = "explicit construction"):
-        super().__init__(f"{subject} needs {predicted} vertices, cap is {cap}")
+                 subject: str = "explicit construction", unit="vertices"):
+        super().__init__(f"{subject} needs {predicted} {unit}, cap is {cap}")
         self.predicted = predicted
         self.cap = cap
 

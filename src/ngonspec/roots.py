@@ -10,8 +10,7 @@ vectorized safeguarded Newton iteration solves them all. F is evaluated as
 lam cos((n-1)theta/2) - 2 sin(n theta/2) sin(theta/2), free of
 cancellation at small theta. Every root is mapped to x without
 cancellation and finished by one x-domain Newton step through the
-three-term recurrence, kept only inside its bracket. The exact
-polynomials serve the identity suites.
+three-term recurrence, kept only inside its bracket.
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-from . import aseries
 
 NEWTON_MAX_STEPS = 100  # safeguarded steps; about 5 suffice
 NEWTON_RTOL = 4 * np.finfo(float).eps
@@ -58,6 +54,11 @@ class RootFamily:
         if self.kind.odd != bool(self.n % 2):
             raise ValueError(f"family {self.kind.value} does not match n={self.n}")
 
+    @property
+    def degree(self) -> int:
+        """How many roots the family has in (0, 2)."""
+        return _family_form(self.kind, self.n // 2)[3]
+
 
 def _inside(label: str, roots: np.ndarray) -> np.ndarray:
     """roots itself, once every root is known to lie strictly inside (0, 2)."""
@@ -66,25 +67,6 @@ def _inside(label: str, roots: np.ndarray) -> np.ndarray:
         raise RootIsolationError(
             f"roots of {label} escaped (0, 2): {outside.tolist()}")
     return roots
-
-
-def family_polynomial(family: RootFamily) -> list[Fraction]:
-    """Exact coefficients of the family's defining polynomial."""
-    n = family.n
-    kind = family.kind
-    if kind is FamilyKind.ODD_ZERO:
-        terms = [(1, (n - 1) // 2)]
-    elif kind is FamilyKind.ODD_PLUS:
-        terms = [(1, (n - 1) // 2), (1, (n - 3) // 2)]
-    elif kind is FamilyKind.ODD_MINUS:
-        terms = [(1, (n - 1) // 2), (-1, (n - 3) // 2)]
-    elif kind is FamilyKind.EVEN_PLUS:
-        terms = [(1, n // 2), (1, n // 2 - 1)]
-    elif kind is FamilyKind.EVEN_ZERO:
-        terms = [(1, n // 2 - 1)]
-    else:
-        terms = [(1, n // 2), (-1, n // 2 - 2)]
-    return aseries.linear_combination(terms)
 
 
 def _x_of_theta(theta):
@@ -150,27 +132,6 @@ def roots_of_family(family: RootFamily) -> np.ndarray:
                     lambda x: _recurrence(x, top, pair)[diff::2])
     roots.flags.writeable = False
     return _inside(f"{family.kind.value} n={family.n}", roots)
-
-
-def lambda_polynomial(n: int, lam) -> list[Fraction]:
-    """Exact cleared-denominator transfer polynomial for eigenvalue lam.
-
-    Its roots are the new eigenvalues that the base eigenvalue lam spawns:
-    (n+1)/2 of them for odd n, n/2 for even n.
-    """
-    if n < 2:
-        raise ValueError(f"polygon parameter must be at least 2, got {n}")
-    lam = Fraction(lam)
-    if lam <= 0 or lam >= 2:
-        raise ValueError(
-            f"eigenvalue must lie strictly inside (0, 2), got {float(lam)}")
-    if n % 2:
-        m = (n - 1) // 2
-        terms = [(1, m + 1), (-1, m - 1), (lam - 1, m), (1 - lam, m - 2)]
-    else:
-        m = n // 2
-        terms = [(1, m), (lam - 2, m - 1), (1 - lam, m - 2)]
-    return aseries.linear_combination(terms)
 
 
 def _edge_angle(n: int, c):
@@ -259,9 +220,9 @@ def solve_lambda_many(n: int, lams) -> np.ndarray:
     lam = lams[:, None]
 
     def value(x):
-        # lambda_polynomial in difference form, lam (d_m + d_{m-1}) - 2x (a_m
-        # + a_{m-1}) for n = 2m + 1 and lam d_{m-1} - 2x a_{m-1} for n = 2m:
-        # about lam near x = 0, with no cancellation
+        # the transfer polynomial in difference form, lam (d_m + d_{m-1}) - 2x
+        # (a_m + a_{m-1}) for n = 2m + 1 and lam d_{m-1} - 2x a_{m-1} for n =
+        # 2m: about lam near x = 0, with no cancellation
         a, d, da, dd = _recurrence(x, (n - 1) // 2, pair=bool(n % 2))
         two_x = 2.0 * x
         return lam * d - two_x * a, lam * dd - 2.0 * a - two_x * da
@@ -275,19 +236,3 @@ def solve_lambda_equation(n: int, lam) -> np.ndarray:
     return _inside(f"lambda={float(lam):.17g} n={n}",
                    solve_lambda_many(n, [float(lam)])[0])
 
-
-def vieta_sums(poly) -> tuple[Fraction, Fraction]:
-    """Exact (sum of reciprocal roots, product of roots) from coefficients.
-
-    Trailing zero coefficients are trimmed first; a zero constant term is
-    rejected because a root at zero has no reciprocal.
-    """
-    coeffs = [Fraction(c) for c in poly]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs or coeffs[0] == 0:
-        raise ValueError("constant coefficient is zero (zero root present)")
-    degree = len(coeffs) - 1
-    product = Fraction((-1) ** degree) * coeffs[0] / coeffs[-1]
-    reciprocal = -coeffs[1] / coeffs[0] if degree >= 1 else Fraction(0)
-    return reciprocal, product

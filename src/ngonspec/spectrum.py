@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import aseries, floattext, oracle, roots
+from . import oracle, roots
 from .graphs import Graph, GrowthCounts
 
 CLUSTER_TOL = 1e-7   # numeric eigenvalues closer than this merge
@@ -44,11 +44,12 @@ SOURCES = tuple(sorted((SOURCE_ZERO, SOURCE_TWO, SOURCE_FAMILY_ZERO,
                         SOURCE_FAMILY_PLUS, SOURCE_FAMILY_MINUS,
                         SOURCE_LIFTED, SOURCE_BASE)))
 _CODE = {tag: code for code, tag in enumerate(SOURCES)}
-_NAMES = np.array(SOURCES, dtype=bytes).view(np.uint8).reshape(
-    len(SOURCES), -1)  # the tags as zero-padded text rows
-_LIFTED = _CODE[SOURCE_LIFTED]
 ZERO_CODE = _CODE[SOURCE_ZERO]  # 0 and 2 are their tags, not their sizes
 TWO_CODE = _CODE[SOURCE_TWO]
+LIFTED_CODE = _CODE[SOURCE_LIFTED]
+_FAMILIES = {odd: [(kind, "family-" + kind.value.split("-")[1])
+                   for kind in roots.FamilyKind if kind.odd == odd]
+             for odd in (False, True)}  # each parity's families with tags
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,6 @@ class Spectrum:
     sources: np.ndarray
     origins: np.ndarray
 
-    @classmethod
-    def from_entries(cls, entries) -> Spectrum:
-        """Columns from SpectrumEntry rows, kept in the order given."""
-        entries = list(entries)
-        return cls(np.array([e.value for e in entries], dtype=float),
-                   np.array([e.multiplicity for e in entries], dtype=object),
-                   np.array([_CODE[e.source] for e in entries], dtype=np.int8),
-                   np.array([-1.0 if e.origin is None else e.origin
-                             for e in entries], dtype=float))
-
     @property
     def entries(self) -> Sequence[SpectrumEntry]:
         return _EntryView(self)
@@ -110,23 +101,6 @@ class Spectrum:
     @property
     def total_multiplicity(self) -> int:
         return sum(self.multiplicities.tolist())
-
-    def source_labels(self) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, codes): the export tags as zero-padded uint8 text rows,
-        the SOURCES names and then lifted(<origin>) once per distinct
-        lifted origin, and each row's index into them."""
-        lifted = self.sources == _LIFTED
-        origins, slot = np.unique(self.origins[lifted], return_inverse=True)
-        text = floattext.g17(origins)
-        labels = np.zeros((len(_NAMES) + len(origins), text.shape[1] + 8),
-                          dtype=np.uint8)
-        labels[:len(_NAMES), :_NAMES.shape[1]] = _NAMES
-        labels[len(_NAMES):, :7] = np.frombuffer(b"lifted(", dtype=np.uint8)
-        labels[len(_NAMES):, 7:-1] = text
-        labels[len(_NAMES):, -1] = ord(")")
-        codes = self.sources.astype(np.intp)
-        codes[lifted] = len(_NAMES) + slot
-        return labels, codes
 
     def expanded(self) -> np.ndarray:
         """Every eigenvalue repeated by multiplicity (explicit sizes only)."""
@@ -172,51 +146,45 @@ def base_spectrum(graph: Graph) -> tuple[Spectrum, GrowthCounts]:
             clusters[-1].append(value)
         else:
             clusters.append([value])
-    entries = [SpectrumEntry(0.0, 1, SOURCE_ZERO)]
-    entries.extend(SpectrumEntry(sum(cluster) / len(cluster), len(cluster),
-                                 SOURCE_BASE) for cluster in clusters)
-    if counts.bipartite:
-        entries.append(SpectrumEntry(2.0, 1, SOURCE_TWO))
-    return Spectrum.from_entries(entries), counts
+    rows = [[0.0], *clusters] + [[2.0]] * counts.bipartite  # mean and size
+    codes = ([ZERO_CODE] + [_CODE[SOURCE_BASE]] * len(clusters)
+             + [TWO_CODE] * counts.bipartite)
+    return Spectrum(np.array([sum(row) / len(row) for row in rows]),
+                    np.array([len(row) for row in rows], dtype=object),
+                    np.array(codes, dtype=np.int8),
+                    np.full(len(rows), -1.0)), counts
+
+
+def _family_blocks(counts: GrowthCounts, n: int):
+    """(family, multiplicity, tag) of each fixed block a step adds. The
+    families of n's parity, in FamilyKind order, carry N, the cycle count
+    E-N+1, and E-N+1 again or E-N when the graph is not bipartite; one of
+    multiplicity 0 adds no block."""
+    cycles = counts.edges - counts.vertices + 1
+    mults = (counts.vertices, cycles, cycles - (not counts.bipartite))
+    if min(mults) < 0:
+        raise ValueError(f"negative family multiplicities {mults}")
+    return [(roots.RootFamily(kind, n), mult, tag) for (kind, tag), mult
+            in zip(_FAMILIES[bool(n % 2)], mults) if mult]
 
 
 def transform_spectrum(spec: Spectrum, counts: GrowthCounts, n: int,
                        solve=None) -> tuple[Spectrum, GrowthCounts]:
     """One transform step on the spectrum level.
 
-    Output multiplicities: the zero-type family carries N, the others carry
-    the cycle count E-N+1 (the minus-type family drops to E-N when the
-    input is not bipartite), each base eigenvalue off {0, 2} contributes
-    its transfer roots with its own multiplicity, 0 enters once, and 2
-    enters once exactly when the output is bipartite. The total must close
-    to the grown vertex count. solve(lams), if given, stands in for
-    roots.solve_lambda_many(n, lams).
+    Output multiplicities: the fixed families carry those of _family_blocks,
+    each base eigenvalue off {0, 2} contributes its transfer roots with its
+    own multiplicity, 0 enters once, and 2 enters once exactly when the
+    output is bipartite. The total must close to the grown vertex count.
+    solve(lams), if given, stands in for roots.solve_lambda_many(n, lams).
     """
     out = counts.grown(n)
     _check_input(spec, counts)
-    odd = bool(n % 2)
-    cycles = counts.edges - counts.vertices + 1
-    minus_mult = cycles if counts.bipartite else cycles - 1
     blocks = [(np.zeros(1), 1, SOURCE_ZERO)]
     if out.bipartite:
         blocks.append((np.full(1, 2.0), 1, SOURCE_TWO))
-    if odd:
-        plan = [(roots.FamilyKind.ODD_ZERO, counts.vertices,
-                 SOURCE_FAMILY_ZERO),
-                (roots.FamilyKind.ODD_PLUS, cycles, SOURCE_FAMILY_PLUS),
-                (roots.FamilyKind.ODD_MINUS, minus_mult, SOURCE_FAMILY_MINUS)]
-    else:
-        plan = [(roots.FamilyKind.EVEN_PLUS, counts.vertices,
-                 SOURCE_FAMILY_PLUS),
-                (roots.FamilyKind.EVEN_ZERO, cycles, SOURCE_FAMILY_ZERO),
-                (roots.FamilyKind.EVEN_MINUS, minus_mult, SOURCE_FAMILY_MINUS)]
-    for kind, mult, tag in plan:
-        if mult < 0:
-            raise ValueError(f"negative multiplicity {mult} for {tag}")
-        if mult == 0:
-            continue
-        blocks.append((roots.roots_of_family(roots.RootFamily(kind, n)),
-                       mult, tag))
+    blocks += [(roots.roots_of_family(family), mult, tag)
+               for family, mult, tag in _family_blocks(counts, n)]
     inner = (spec.sources != ZERO_CODE) & (spec.sources != TWO_CODE)
     lams = spec.values[inner]
     table = roots.solve_lambda_many(n, lams) if solve is None else solve(lams)
@@ -226,7 +194,7 @@ def transform_spectrum(spec: Spectrum, counts: GrowthCounts, n: int,
     counts = [len(block) for block in fixed] + [table.shape[1]] * len(lams)
     mults = np.concatenate((np.array(fixed_mults, dtype=object),
                             spec.multiplicities[inner]))
-    codes = np.array([_CODE[t] for t in tags] + [_LIFTED] * len(lams),
+    codes = np.array([_CODE[t] for t in tags] + [LIFTED_CODE] * len(lams),
                      dtype=np.int8)
     origins = np.concatenate((np.full(len(fixed), -1.0), lams))
     mults, codes, origins = (np.repeat(column, counts)
@@ -242,6 +210,23 @@ def transform_spectrum(spec: Spectrum, counts: GrowthCounts, n: int,
         order = np.lexsort((origins, codes, values))
     return Spectrum(values[order], mults[order], codes[order],
                     origins[order]), out
+
+
+def row_count(spec: Spectrum, counts: GrowthCounts, n: int, g: int,
+              cap: int) -> tuple[int, int]:
+    """(t, rows): the rows of generation t = g of iterate_spectrum, or of the
+    first generation t with more than cap, from the sizes of the blocks
+    transform_spectrum assembles. Rows never drop, and at n = 2 each step
+    from the third adds one plus and one minus family root."""
+    rows, t = len(spec.values), 0
+    while t < g and rows <= cap:
+        if n == 2 and t >= 2:
+            return g, rows + 2 * (g - t)
+        out = counts.grown(n)
+        rows = 1 + out.bipartite + (n + 1) // 2 * (rows - 1 - counts.bipartite)
+        rows += sum(f.degree for f, _, _ in _family_blocks(counts, n))
+        counts, t = out, t + 1
+    return t, rows
 
 
 def _reusing_solver(n: int):
@@ -314,11 +299,14 @@ def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu,
         raise ValueError("(lam, vec) is not an eigenpair of the base graph")
     mus = np.asarray(mu, dtype=float)
     column = np.atleast_1d(mus)[:, None]  # one row per root
-    a_last = aseries.eval_a(n - 1, column)
+    step = 2.0 * (1.0 - column)
+    a_prev = 0.0 * column  # a_{-1}, then a_{n-2} after the loop
+    a_last = a_prev + 1.0  # a_0, then a_{n-1}
+    for _ in range(n - 1):
+        a_prev, a_last = a_last, step * a_last - a_prev
     if np.any(np.abs(a_last) < 1e-12):
         raise ValueError(
             "a_{n-1}(mu) vanishes; mu belongs to a fixed family, not a lift")
-    a_prev = aseries.eval_a(n - 2, column)
     scale = 1.0 / np.sqrt(np.asarray(graph.degrees, dtype=float))
     i, j = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
     # paths[s, r, e] is step s along edge e's path for root r; each step of
@@ -326,7 +314,6 @@ def lift_eigenvector(graph: Graph, n: int, lam: float, vec, mu,
     paths = np.empty((n - 1, len(column), len(i)))
     seed = vec[i] * scale[i]
     paths[0] = (a_prev / a_last) * seed + vec[j] * scale[j] / a_last
-    step = 2.0 * (1.0 - column)
     if n >= 3:
         paths[1] = step * paths[0] - seed
     for k in range(2, n - 1):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ngonspec import aseries, cli, graphs, invariants, spectrum
+from ngonspec.roots import FamilyKind
 
 
 def complete_graph(nv):
@@ -258,10 +259,85 @@ def per_edge_lift(graph, n, vec, mu):
 def root_checksums(roots):
     """(sum of reciprocals, product) of a root array, left to right.
 
-    The float side of the Vieta checks; the exact side is roots.vieta_sums.
+    The float side of the Vieta checks; the exact side is vieta_sums.
     """
     values = roots.tolist()
     return sum(1.0 / r for r in values), math.prod(values, start=1.0)
+
+
+def family_polynomial(family) -> list[Fraction]:
+    """Exact coefficients of the family's defining polynomial."""
+    n = family.n
+    kind = family.kind
+    if kind is FamilyKind.ODD_ZERO:
+        terms = [(1, (n - 1) // 2)]
+    elif kind is FamilyKind.ODD_PLUS:
+        terms = [(1, (n - 1) // 2), (1, (n - 3) // 2)]
+    elif kind is FamilyKind.ODD_MINUS:
+        terms = [(1, (n - 1) // 2), (-1, (n - 3) // 2)]
+    elif kind is FamilyKind.EVEN_PLUS:
+        terms = [(1, n // 2), (1, n // 2 - 1)]
+    elif kind is FamilyKind.EVEN_ZERO:
+        terms = [(1, n // 2 - 1)]
+    else:
+        terms = [(1, n // 2), (-1, n // 2 - 2)]
+    return aseries.linear_combination(terms)
+
+
+def lambda_polynomial(n: int, lam) -> list[Fraction]:
+    """Exact cleared-denominator transfer polynomial for eigenvalue lam.
+
+    Its roots are the new eigenvalues that the base eigenvalue lam spawns:
+    (n+1)/2 of them for odd n, n/2 for even n. The reference for
+    roots.solve_lambda_many, which solves the same equation in angle form.
+    """
+    if n < 2:
+        raise ValueError(f"polygon parameter must be at least 2, got {n}")
+    lam = Fraction(lam)
+    if lam <= 0 or lam >= 2:
+        raise ValueError(
+            f"eigenvalue must lie strictly inside (0, 2), got {float(lam)}")
+    if n % 2:
+        m = (n - 1) // 2
+        terms = [(1, m + 1), (-1, m - 1), (lam - 1, m), (1 - lam, m - 2)]
+    else:
+        m = n // 2
+        terms = [(1, m), (lam - 2, m - 1), (1 - lam, m - 2)]
+    return aseries.linear_combination(terms)
+
+
+def vieta_sums(poly) -> tuple[Fraction, Fraction]:
+    """Exact (sum of reciprocal roots, product of roots) from coefficients.
+
+    Trailing zero coefficients are trimmed first; a zero constant term is
+    rejected because a root at zero has no reciprocal.
+    """
+    coeffs = [Fraction(c) for c in poly]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs or coeffs[0] == 0:
+        raise ValueError("constant coefficient is zero (zero root present)")
+    degree = len(coeffs) - 1
+    product = Fraction((-1) ** degree) * coeffs[0] / coeffs[-1]
+    reciprocal = -coeffs[1] / coeffs[0] if degree >= 1 else Fraction(0)
+    return reciprocal, product
+
+
+def spectrum_from_entries(entries) -> spectrum.Spectrum:
+    """Spectrum columns from SpectrumEntry rows, kept in the order given."""
+    entries = list(entries)
+    return spectrum.Spectrum(
+        np.array([e.value for e in entries], dtype=float),
+        np.array([e.multiplicity for e in entries], dtype=object),
+        np.array([spectrum.SOURCES.index(e.source) for e in entries],
+                 dtype=np.int8),
+        np.array([-1.0 if e.origin is None else e.origin for e in entries],
+                 dtype=float))
+
+
+def json_text(value) -> str:
+    """The JSON text cli prints for a value, its parts joined."""
+    return "".join(cli._json_parts(value))
 
 
 def merged(spec, tol=spectrum.SNAP_TOL):

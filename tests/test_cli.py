@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngonspec import cli, graphs, oracle, roots
+from ngonspec import cli, graphs, oracle, roots, spectrum
 
-from conftest import (random_connected_graph, reference_csv_text,
+from conftest import (json_text, random_connected_graph, reference_csv_text,
                       reference_json_text)
 
 TRIANGLE = "0 1\n0 2\n1 2\n"
@@ -265,6 +265,32 @@ def test_verify_past_the_dense_cap_exits_two_at_once(tmp_path):
         <= graphs.DEFAULT_EXPLICIT_CAP
 
 
+@pytest.mark.parametrize("text, n, g, t, rows", [
+    (TRIANGLE, 3, 30, 21, 7_340_030),
+    ("0 1\n", 31, 6, 6, 18_874_367),
+    (TRIANGLE, 400_000_000, 1, 1, 600_000_000)])
+def test_spectrum_past_the_row_cap_exits_two_at_once(tmp_path, text, n, g, t,
+                                                     rows):
+    # each of these ran out of memory before the cap, a traceback and exit 1
+    # under a 1.5 GB address space
+    path = write(tmp_path, "base.txt", text)
+    code, err, seconds = run_cli_process(["spectrum", path, "--n", str(n),
+                                          "--g", str(g)])
+    assert (code, err) == (2, f"error: generation {t} needs {rows} rows, "
+                           f"cap is {cli.ROW_CAP}\n")
+    assert seconds < 1.0
+
+
+def test_row_cap_admits_the_largest_generations_under_it():
+    for graph, n, g, rows in ((graphs.make_graph(2, [(0, 1)]), 31, 5,
+                               1_179_647),
+                              (graphs.parse_edge_list(TRIANGLE), 3, 20,
+                               3_670_014)):
+        spec, counts = spectrum.base_spectrum(graph)
+        assert spectrum.row_count(spec, counts, n, g, cli.ROW_CAP) \
+            == (g, rows) and rows <= cli.ROW_CAP
+
+
 def test_flag_errors_exit_one(tmp_path, capsys):
     for argv in (["spectrum", "somefile"],         # --n is required
                  ["not-a-command"],
@@ -314,22 +340,22 @@ def test_flags_a_subcommand_does_not_read_exit_one(tmp_path, capsys, argv,
 
 def test_json_list_with_a_table_or_dict_beside_scalars_renders_nested():
     table = cli.Table(("a", "b"), [[1, 2], [0.5, "x"]])
-    text = cli._json_text({"items": [1.5, table, {"c": None}, "s"]})
+    text = json_text({"items": [1.5, table, {"c": None}, "s"]})
     assert text == ('{\n  "items": [\n    1.5,\n    [\n'
                     '      {"a": 1, "b": 0.5},\n      {"a": 2, "b": "x"}\n'
                     '    ],\n    {"c": null},\n    "s"\n  ]\n}')
     assert json.loads(text) == {"items": [1.5, [{"a": 1, "b": 0.5},
                                                 {"a": 2, "b": "x"}],
                                           {"c": None}, "s"]}
-    assert cli._json_text([{"d": True}, 3]) == '[\n  {"d": true},\n  3\n]'
-    assert cli._json_text([2, cli.Table(("e",), [["f"]])]) \
+    assert json_text([{"d": True}, 3]) == '[\n  {"d": true},\n  3\n]'
+    assert json_text([2, cli.Table(("e",), [["f"]])]) \
         == '[\n  2,\n  [\n    {"e": "f"}\n  ]\n]'
 
 
 def test_json_float_list_renders_non_finite_as_null():
-    assert cli._json_text([0.25, float("nan"), 1.0]) \
+    assert json_text([0.25, float("nan"), 1.0]) \
         == "[\n  0.25,\n  null,\n  1\n]"
-    assert cli._json_text([float("inf"), -0.5]) == "[\n  null,\n  -0.5\n]"
+    assert json_text([float("inf"), -0.5]) == "[\n  null,\n  -0.5\n]"
 
 
 def test_one_writer_prints_results():
@@ -521,8 +547,8 @@ def test_writer_matches_the_reference_writer(rows, data):
     table = cli.Table(header, columns)
     document = {"meta": {"rows": rows}, "table": table,
                 "column": columns[0], "nested": [table, columns[-1]]}
-    assert_same_text(cli._json_text(table), reference_json_text(table))
-    assert_same_text(cli._json_text(document), reference_json_text(document))
+    assert_same_text(json_text(table), reference_json_text(table))
+    assert_same_text(json_text(document), reference_json_text(document))
     assert_same_text(written("csv", None, table), reference_csv_text(table))
 
 
@@ -533,16 +559,16 @@ def test_float_array_columns_print_as_their_lists(rows):
                   [pool[i % len(pool)] for i in range(rows)]):
         array = cli.Table(("v", "w"), [np.array(cells), ["a"] * rows])
         plain = cli.Table(("v", "w"), [cells, ["a"] * rows])
-        assert cli._json_text(array) == cli._json_text(plain)
+        assert json_text(array) == json_text(plain)
         assert written("csv", None, array) == written("csv", None, plain)
     if rows > 5:
-        assert ' {"v": null, "w": "a"}' in cli._json_text(array)
+        assert ' {"v": null, "w": "a"}' in json_text(array)
 
 
 def test_header_keys_may_hold_braces():
     # The str.format row template before the block writer raised here.
     table = cli.Table(("{0}", "%}{"), [[1, 2], ["x", None]])
-    assert cli._json_text(table) == ('[\n  {"{0}": 1, "%}{": "x"},\n'
+    assert json_text(table) == ('[\n  {"{0}": 1, "%}{": "x"},\n'
                                      '  {"{0}": 2, "%}{": null}\n]')
     assert written("csv", None, table) == "{0},%}{\n1,x\n2,\n"
 
@@ -577,7 +603,7 @@ def test_write_streams_what_json_text_returns(tmp_path):
         ns = cli._parser().parse_args(argv)
         code, document, table = cli._COMMANDS[ns.command][0](ns, graph)
         assert code == 0
-        text = cli._json_text(document) + "\n"
+        text = json_text(document) + "\n"
         assert_same_text(written("json", document, table), text)
         assert_same_text(text, reference_json_text(document) + "\n")
 

@@ -9,7 +9,7 @@ from ngonspec import graphs, invariants, oracle, spectrum
 from conftest import (complete_graph, cycle_graph,
                       faddeev_leverrier_invariants, kemeny_step,
                       kirchhoff_step, petersen_graph, random_connected_graph,
-                      spanning_trees_step)
+                      spanning_trees_step, spectrum_from_entries)
 
 
 def test_from_spectrum_triangle():
@@ -47,7 +47,7 @@ def test_from_spectrum_sums_like_a_python_loop(corpus):
 
 
 def test_from_spectrum_with_only_the_zero_row():
-    spec = spectrum.Spectrum.from_entries(
+    spec = spectrum_from_entries(
         [spectrum.SpectrumEntry(0.0, 1, spectrum.SOURCE_ZERO)])
     report = invariants.invariants_from_spectrum(
         spec, graphs.GrowthCounts(1, 1, False), 2)

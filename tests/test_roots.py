@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ngonspec import aseries, roots
 from ngonspec.roots import FamilyKind, RootFamily
 
-from conftest import root_checksums
+from conftest import (family_polynomial, lambda_polynomial, root_checksums,
+                      vieta_sums)
 
 
 def trig_roots(kind, n):
@@ -55,16 +56,16 @@ VIETA_FAMILY = {
 
 
 def test_family_polynomial_small_cases():
-    assert roots.family_polynomial(RootFamily(FamilyKind.EVEN_PLUS, 2)) \
+    assert family_polynomial(RootFamily(FamilyKind.EVEN_PLUS, 2)) \
         == [3, -2]
-    assert roots.family_polynomial(RootFamily(FamilyKind.EVEN_ZERO, 2)) == [1]
-    assert roots.family_polynomial(RootFamily(FamilyKind.EVEN_MINUS, 2)) \
+    assert family_polynomial(RootFamily(FamilyKind.EVEN_ZERO, 2)) == [1]
+    assert family_polynomial(RootFamily(FamilyKind.EVEN_MINUS, 2)) \
         == [2, -2]
-    assert roots.family_polynomial(RootFamily(FamilyKind.ODD_ZERO, 3)) \
+    assert family_polynomial(RootFamily(FamilyKind.ODD_ZERO, 3)) \
         == [2, -2]
-    assert roots.family_polynomial(RootFamily(FamilyKind.ODD_PLUS, 3)) \
+    assert family_polynomial(RootFamily(FamilyKind.ODD_PLUS, 3)) \
         == [3, -2]
-    assert roots.family_polynomial(RootFamily(FamilyKind.ODD_MINUS, 3)) \
+    assert family_polynomial(RootFamily(FamilyKind.ODD_MINUS, 3)) \
         == [1, -2]
 
 
@@ -98,7 +99,7 @@ def test_roots_match_trigonometric_oracle(kind):
 def test_family_vieta_identities(kind):
     for n in matching_n(kind):
         family = RootFamily(kind, n)
-        recip, prod = roots.vieta_sums(roots.family_polynomial(family))
+        recip, prod = vieta_sums(family_polynomial(family))
         want_recip, want_prod = VIETA_FAMILY[kind](n)
         assert (recip, prod) == (want_recip, want_prod)
         got_recip, got_prod = root_checksums(roots.roots_of_family(family))
@@ -153,11 +154,11 @@ def test_a_root_outside_the_open_interval_is_named(monkeypatch):
 
 
 def test_transfer_polynomial_coefficients():
-    assert roots.lambda_polynomial(3, Fraction(3, 2)) == [3, -9, 4]
-    assert roots.lambda_polynomial(2, Fraction(3, 2)) == [Fraction(3, 2), -2]
+    assert lambda_polynomial(3, Fraction(3, 2)) == [3, -9, 4]
+    assert lambda_polynomial(2, Fraction(3, 2)) == [Fraction(3, 2), -2]
     # constant coefficient: 2*lam for odd n, lam for even n
     for n, scale in ((5, 2), (7, 2), (4, 1), (6, 1)):
-        poly = roots.lambda_polynomial(n, Fraction(7, 10))
+        poly = lambda_polynomial(n, Fraction(7, 10))
         assert poly[0] == scale * Fraction(7, 10)
         assert len(poly) - 1 == (n + 1) // 2
 
@@ -165,9 +166,9 @@ def test_transfer_polynomial_coefficients():
 def test_transfer_polynomial_rejects_boundary_eigenvalues():
     for bad in (0, 2, -0.5, 2.5):
         with pytest.raises(ValueError):
-            roots.lambda_polynomial(5, bad)
+            lambda_polynomial(5, bad)
     with pytest.raises(ValueError):
-        roots.lambda_polynomial(1, 1.0)
+        lambda_polynomial(1, 1.0)
 
 
 def test_solve_halves_the_eigenvalue_for_triangle_growth():
@@ -196,7 +197,7 @@ def test_transfer_vieta_identities():
     for n in range(2, 11):
         for _ in range(10):
             lam = Fraction(rng.randint(1, 199), 100)
-            recip, prod = roots.vieta_sums(roots.lambda_polynomial(n, lam))
+            recip, prod = vieta_sums(lambda_polynomial(n, lam))
             if n % 2:
                 want_recip = n / lam + Fraction(n - 1, 2) ** 2
                 want_prod = lam / 2 ** ((n - 1) // 2)
@@ -242,7 +243,7 @@ def test_transfer_roots_properties(n, lams):
 @given(n=st.integers(2, 12), lam=LAMBDAS)
 def test_transfer_roots_match_exact_vieta_sums(n, lam):
     got_recip, got_prod = root_checksums(roots.solve_lambda_equation(n, lam))
-    recip, prod = roots.vieta_sums(roots.lambda_polynomial(n, lam))
+    recip, prod = vieta_sums(lambda_polynomial(n, lam))
     assert abs(got_recip - recip) <= 1e-10 * recip
     assert abs(got_prod - prod) <= 1e-10 * prod
 

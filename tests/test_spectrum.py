@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ngonspec import graphs, oracle, roots, spectrum
+from ngonspec import cli, graphs, oracle, roots, spectrum
 
 from conftest import (build_corpus, complete_graph, cycle_graph, merged,
                       path_graph, per_edge_lift, random_connected_graph,
-                      star_graph)
+                      spectrum_from_entries, star_graph)
 
 
 def entry_tuples(spec, digits=10):
@@ -41,8 +41,8 @@ def test_base_spectrum_square_and_star():
 
 def source_labels(spec):
     """Each row's export tag as str, from the label rows and row codes of
-    Spectrum.source_labels."""
-    labels, codes = spec.source_labels()
+    cli.source_labels."""
+    labels, codes = cli.source_labels(spec)
     return [row.tobytes().replace(b"\0", b"").decode()
             for row in labels[codes]]
 
@@ -100,7 +100,7 @@ def test_bipartite_symmetry_survives_odd_growth():
 def test_values_near_two_are_lifted_unless_tagged_two():
     # Only the row tagged two is the eigenvalue 2, as only the row tagged
     # zero is 0; a base value 1e-13 below 2 has transfer roots of its own.
-    spec = spectrum.Spectrum.from_entries([
+    spec = spectrum_from_entries([
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(1.5, 1, "base"),
         spectrum.SpectrumEntry(2.0 - 1e-13, 1, "base")])
@@ -154,7 +154,7 @@ def test_columns_are_ordered_and_round_trip(corpus):
                         for e in spec.entries]
                 assert keys == sorted(keys)
                 assert len(spec.entries) == len(spec.values)
-                again = spectrum.Spectrum.from_entries(spec.entries)
+                again = spectrum_from_entries(spec.entries)
                 for column in ("values", "sources", "origins"):
                     want, got = getattr(spec, column), getattr(again, column)
                     assert got.dtype == want.dtype
@@ -165,7 +165,7 @@ def test_columns_are_ordered_and_round_trip(corpus):
 
 def test_multiplicities_outgrow_64_bits():
     big = 2 ** 70
-    spec = spectrum.Spectrum.from_entries((
+    spec = spectrum_from_entries((
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(1.5, big, "base")))
     ctx = graphs.GrowthCounts(big + 1, 2 * big, False)
@@ -179,19 +179,19 @@ def test_multiplicities_outgrow_64_bits():
 
 def test_input_validation():
     ctx = graphs.GrowthCounts(3, 3, False)
-    good = spectrum.Spectrum.from_entries((
+    good = spectrum_from_entries((
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(1.5, 2, "base")))
     with pytest.raises(ValueError):
         spectrum.transform_spectrum(good, ctx, 1)
-    bad_total = spectrum.Spectrum.from_entries(good.entries[:1])
+    bad_total = spectrum_from_entries(good.entries[:1])
     with pytest.raises(ValueError):
         spectrum.transform_spectrum(bad_total, ctx, 2)
-    no_zero = spectrum.Spectrum.from_entries((
+    no_zero = spectrum_from_entries((
         spectrum.SpectrumEntry(1.5, 3, "base"),))
     with pytest.raises(ValueError):
         spectrum.transform_spectrum(no_zero, ctx, 2)
-    out_of_range = spectrum.Spectrum.from_entries((
+    out_of_range = spectrum_from_entries((
         spectrum.SpectrumEntry(0.0, 1, "zero"),
         spectrum.SpectrumEntry(2.5, 2, "base")))
     with pytest.raises(ValueError):
@@ -309,10 +309,30 @@ def test_source_labels_match_the_entries(corpus):
             f"lifted({e.origin:.17g})" if e.source == "lifted" else e.source
             for e in spec.entries]
         # one label row per tag and per distinct lifted origin
-        labels, codes = spec.source_labels()
+        labels, codes = cli.source_labels(spec)
         origins = {e.origin for e in spec.entries if e.source == "lifted"}
         assert labels.dtype == np.uint8 and len(codes) == len(spec.entries)
         assert len(labels) == len(spectrum.SOURCES) + len(origins)
+
+
+def test_row_count_matches_the_assembled_rows(corpus):
+    # at n = 2 the count skips ahead from the third step, so g = 3 and 4
+    # check the skip
+    for graph in corpus.values():
+        spec, counts = spectrum.base_spectrum(graph)
+        for n in range(2, 10):
+            grown = [spec, *(out for out, _ in spectrum.iterate_spectrum(
+                spec, counts, n, 4))]
+            assert [spectrum.row_count(spec, counts, n, g, 2 ** 62)
+                    for g in range(5)] \
+                == [(g, len(out.values)) for g, out in enumerate(grown)]
+
+
+def test_row_count_stops_at_the_first_generation_past_the_cap():
+    spec, counts = spectrum.base_spectrum(complete_graph(3))
+    assert spectrum.row_count(spec, counts, 3, 30, 10 ** 6) == (19, 1_835_006)
+    assert spectrum.row_count(spec, counts, 3, 18, 10 ** 6) == (18, 917_502)
+    assert spectrum.row_count(spec, counts, 3, 30, 2) == (1, 5)
 
 
 def test_cached_family_roots_leave_the_transfer_unchanged(monkeypatch,
