@@ -66,7 +66,7 @@ _BLOCK = 4000  # rows made as one text matrix
 _JOINED = 2 ** 16  # characters of short parts printed together
 _SHORT = 128  # fewer cells are faster formatted one by one than as arrays
 _CSV_QUOTED = ',"\n'  # csv.writer quotes a field holding one ("\n" ends)
-ROW_CAP = 2 ** 22  # spectrum rows; 3,670,014 peak at 455 MB RSS
+ROW_CAP = 2 ** 22  # spectrum rows at most; 3,670,014 rows peak at 455 MB
 
 
 def _cell(value, json: bool) -> str:

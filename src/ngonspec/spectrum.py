@@ -216,8 +216,8 @@ def row_count(spec: Spectrum, counts: GrowthCounts, n: int, g: int,
               cap: int) -> tuple[int, int]:
     """(t, rows): the rows of generation t = g of iterate_spectrum, or of the
     first generation t with more than cap, from the sizes of the blocks
-    transform_spectrum assembles. Rows never drop, and at n = 2 each step
-    from the third adds one plus and one minus family root."""
+    transform_spectrum assembles. Rows never drop; at n = 2 each step from
+    the third adds one plus and one minus family root, so t is g there."""
     rows, t = len(spec.values), 0
     while t < g and rows <= cap:
         if n == 2 and t >= 2:

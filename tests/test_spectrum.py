@@ -333,6 +333,9 @@ def test_row_count_stops_at_the_first_generation_past_the_cap():
     assert spectrum.row_count(spec, counts, 3, 30, 10 ** 6) == (19, 1_835_006)
     assert spectrum.row_count(spec, counts, 3, 18, 10 ** 6) == (18, 917_502)
     assert spectrum.row_count(spec, counts, 3, 30, 2) == (1, 5)
+    # at n = 2 it goes straight to g, two rows a step from the third
+    assert spectrum.row_count(spec, counts, 2, 2_097_152, 2 ** 22) \
+        == (2_097_152, 4_194_305)
 
 
 def test_cached_family_roots_leave_the_transfer_unchanged(monkeypatch,
